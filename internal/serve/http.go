@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/sched"
+	"repro/internal/workload"
 )
 
 // The HTTP/JSON surface of a Service. Every endpoint is stateless over
@@ -67,24 +68,6 @@ func errCode(err error) (int, string) {
 	}
 }
 
-// readBody drains r into buf (reusing its capacity) and returns the
-// filled slice.
-func readBody(r io.Reader, buf []byte) ([]byte, error) {
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -115,18 +98,11 @@ func (s *Service) Handler() http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/jobs", func(w http.ResponseWriter, r *http.Request) {
-		// The submit hot path avoids encoding/json on both sides:
-		// pooled read/render buffers, a non-allocating decoder, an
-		// append-style encoder.
-		buf := ingestBufs.Get().(*ingestBuf)
-		defer ingestBufs.Put(buf)
-		var err error
-		if buf.body, err = readBody(r.Body, buf.body[:0]); err != nil {
-			writeErr(w, fmt.Errorf("%w: body: %v", ErrBadRequest, err))
-			return
-		}
+		// The body cap is the WAL's frame cap: nothing larger can
+		// become one log record, and validate bounds the record itself.
 		var req SubmitRequest
-		if err := DecodeSubmitRequest(buf.body, &req); err != nil {
+		body := http.MaxBytesReader(w, r.Body, workload.MaxFramePayload)
+		if err := json.NewDecoder(body).Decode(&req); err != nil {
 			writeErr(w, fmt.Errorf("%w: body: %v", ErrBadRequest, err))
 			return
 		}
@@ -135,17 +111,7 @@ func (s *Service) Handler() http.Handler {
 			writeErr(w, err)
 			return
 		}
-		if st.Result != nil {
-			// A durable-synchronous submit (WAL attached) acks with the
-			// full sequenced status; the schedule projection is not a
-			// shape the zero-alloc renderer covers.
-			writeJSON(w, http.StatusAccepted, st)
-			return
-		}
-		buf.out = appendJobStatusJSON(buf.out[:0], st)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		_, _ = w.Write(buf.out)
+		writeJSON(w, http.StatusAccepted, st)
 	})
 
 	mux.HandleFunc("GET /v1/jobs", func(w http.ResponseWriter, r *http.Request) {

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -126,6 +128,134 @@ func TestHTTPErrorMapping(t *testing.T) {
 	}
 	if _, err := c.Submit(small("t", "late")); !errors.Is(err, ErrDraining) {
 		t.Errorf("submit after drain: %v, want ErrDraining", err)
+	}
+}
+
+// postJob sends one raw submit body through the handler and returns
+// the status code and response body.
+func postJob(t *testing.T, h http.Handler, body string) (int, string) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body)))
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+		t.Errorf("%q: Content-Type = %q", body, ct)
+	}
+	return rec.Code, rec.Body.String()
+}
+
+// The submit wire contract: encoding/json stream-decoder semantics on
+// the way in (case-folded keys, unknown fields skipped, trailing data
+// ignored, malformed bodies refused as bad_request) and the indented
+// JobStatus encoding on the way out, byte for byte.
+func TestHTTPSubmitWireContract(t *testing.T) {
+	malformed := []string{
+		``,
+		`[1,2]`,
+		`{"network": "AlexNet"`,
+		`{"batch": 1.5, "network":"AlexNet"}`,
+		`{"network": 42}`,
+		"{\"id\":\"ctrl \x01 char\",\"network\":\"AlexNet\",\"batch\":16}",
+	}
+	h := mustNew(t, Config{Manual: true}).Handler()
+	for _, body := range malformed {
+		code, resp := postJob(t, h, body)
+		var ae apiError
+		if err := json.Unmarshal([]byte(resp), &ae); err != nil || code != http.StatusBadRequest || ae.Code != "bad_request" {
+			t.Errorf("%q -> %d %s, want 400 bad_request", body, code, resp)
+		}
+	}
+
+	// Each accepted body is the same job: a fresh service answers with
+	// the same 202 bytes and logs the same request line.
+	const golden = "{\n  \"id\": \"acme/j1\",\n  \"tenant\": \"acme\",\n  \"state\": \"queued\",\n  \"shard\": 0,\n  \"queue_position\": 1,\n  \"seq\": -1,\n  \"arrival_ms\": 0\n}\n"
+	accepted := []string{
+		`{"tenant":"acme","id":"j1","network":"AlexNet","batch":16}`,
+		`{"TENANT":"acme","Id":"j1","NetWork":"AlexNet","BATCH":16}`,
+		`{"tenant":"acme","id":"j1","network":"AlexNet","batch":16,"extra":{"nested":[1,{"x":null}],"b":true}}`,
+		`{"tenant":"acme","id":"j1","network":"AlexNet","batch":16} trailing garbage`,
+	}
+	var wantLog string
+	for _, body := range accepted {
+		s := mustNew(t, Config{Manual: true})
+		code, resp := postJob(t, s.Handler(), body)
+		if code != http.StatusAccepted || resp != golden {
+			t.Errorf("%q -> %d\n%s\nwant 202\n%s", body, code, resp, golden)
+		}
+		s.Advance(0)
+		if wantLog == "" {
+			wantLog = s.ReplayLog()
+		} else if got := s.ReplayLog(); got != wantLog {
+			t.Errorf("%q logged\n%s\nwant\n%s", body, got, wantLog)
+		}
+	}
+
+	// HTML-significant characters keep encoding/json's escapes.
+	code, resp := postJob(t, mustNew(t, Config{Manual: true}).Handler(),
+		`{"tenant":"<b>&","id":"q\"x","network":"AlexNet","batch":16}`)
+	const escaped = "{\n  \"id\": \"\\u003cb\\u003e\\u0026/q\\\"x\",\n  \"tenant\": \"\\u003cb\\u003e\\u0026\",\n  \"state\": \"queued\",\n  \"shard\": 0,\n  \"queue_position\": 1,\n  \"seq\": -1,\n  \"arrival_ms\": 0\n}\n"
+	if code != http.StatusAccepted || resp != escaped {
+		t.Errorf("escaped submit -> %d\n%s\nwant 202\n%s", code, resp, escaped)
+	}
+}
+
+// A submission whose request-log record cannot fit one WAL frame is a
+// bad request, not a crash of the sequencer, and the service keeps
+// sequencing afterwards.
+func TestOversizedSubmitRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := mustNew(t, walConfig(dir, 1))
+	huge := strings.Repeat("a", workload.MaxFramePayload+10)
+	for name, req := range map[string]SubmitRequest{
+		"id":              small("t", huge),
+		"tenant":          small(huge, "j"),
+		"idempotency_key": {Tenant: "t", ID: "k", Network: "AlexNet", Batch: 16, IdempotencyKey: huge[:workload.MaxFramePayload-4]},
+	} {
+		if _, err := s.Submit(req); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("oversized %s: err = %v, want ErrBadRequest", name, err)
+		}
+	}
+
+	// Over HTTP the body itself is capped at the frame size, even when
+	// the bulk is an unknown field the decoder would skip.
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, body := range []string{
+		`{"tenant":"t","id":"` + huge + `","network":"AlexNet","batch":16}`,
+		`{"tenant":"t","id":"pad","network":"AlexNet","batch":16,"pad":"` + huge + `"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ae apiError
+		if err := json.NewDecoder(resp.Body).Decode(&ae); err != nil || resp.StatusCode != http.StatusBadRequest || ae.Code != "bad_request" {
+			t.Errorf("oversized HTTP submit %.40s... -> %d %+v (%v), want 400 bad_request", body, resp.StatusCode, ae, err)
+		}
+		resp.Body.Close()
+	}
+
+	// The widest id that still fits is accepted, sequenced and recovered.
+	fixed := workload.FormatJob(workload.TraceJob{ID: "t/", ArrivalMS: math.MaxInt64, Network: "AlexNet", Batch: 16, Iterations: 1})
+	widest := huge[:workload.MaxFramePayload-len(fixed)]
+	if _, err := s.Submit(small("t", widest+"a")); !errors.Is(err, ErrBadRequest) {
+		t.Errorf("one byte over the frame: err = %v, want ErrBadRequest", err)
+	}
+	for _, req := range []SubmitRequest{small("t", widest), small("t", "after")} {
+		st, err := s.Submit(req)
+		if err != nil || st.Seq < 0 || !st.Durable {
+			t.Fatalf("submit %.20s...: %+v, %v; want sequenced and durable", req.ID, st, err)
+		}
+	}
+	want := drainClose(t, s)
+	rec, err := RecoverWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := workload.FormatTrace(rec.Jobs); rec.Torn != nil || got != want {
+		t.Errorf("recovered log differs from the served one (%d vs %d bytes, torn %+v)", len(got), len(want), rec.Torn)
+	}
+	if jobs, err := workload.ParseTrace(strings.NewReader(want)); err != nil || len(jobs) != 2 {
+		t.Errorf("served log replays to %d jobs, %v; want 2", len(jobs), err)
 	}
 }
 

@@ -48,7 +48,9 @@ import (
 	"hash/fnv"
 	"io"
 	"log/slog"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -743,6 +745,9 @@ func (s *Service) validate(req SubmitRequest) (workload.TraceJob, string, error)
 		}
 		tj.Batch = req.Batch
 	}
+	if !fitsFrame(tj, tenant, req.IdempotencyKey) {
+		return workload.TraceJob{}, "", fmt.Errorf("%w: request log record would exceed %d bytes", ErrBadRequest, workload.MaxFramePayload)
+	}
 	for _, b := range batches {
 		_, err := s.sch.Estimator().Estimate(tj.Network, b, tj.Manager, s.cfg.Cluster.Device)
 		if err != nil && !errors.Is(err, core.ErrOutOfMemory) {
@@ -750,6 +755,18 @@ func (s *Service) validate(req SubmitRequest) (workload.TraceJob, string, error)
 		}
 	}
 	return tj, tenant, nil
+}
+
+// fitsFrame reports whether tj's request-log line and its idempotency
+// directive each fit one WAL frame once sequenced, taking the widest
+// arrival time and auto-assigned id the service can give it.
+func fitsFrame(tj workload.TraceJob, tenant, key string) bool {
+	if tj.ID == "" {
+		tj.ID = tenant + "/j" + strconv.Itoa(math.MaxInt)
+	}
+	tj.ArrivalMS = math.MaxInt64
+	return len(workload.FormatJob(tj)) <= workload.MaxFramePayload &&
+		(key == "" || len(walIdemLine(key, tj.ID)) <= workload.MaxFramePayload)
 }
 
 // checkToken refuses characters that would corrupt the

@@ -166,6 +166,47 @@ func TestStatusLifecycle(t *testing.T) {
 	}
 }
 
+// Status and Jobs report a still-queued job's 1-based place in its
+// tenant's queue, and 0 once it has been sequenced.
+func TestQueuePositionsPerTenant(t *testing.T) {
+	s := mustNew(t, Config{Manual: true})
+	ids := []string{"a/0", "b/0", "a/1", "a/2", "b/1"}
+	want := map[string]int{"a/0": 1, "a/1": 2, "a/2": 3, "b/0": 1, "b/1": 2}
+	for _, id := range ids {
+		tenant, name, _ := strings.Cut(id, "/")
+		if _, err := s.Submit(small(tenant, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		jobs, err := s.Jobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range ids {
+			st, err := s.Status(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.QueuePosition != want[id] || jobs[i].ID != id || jobs[i].QueuePosition != want[id] {
+				t.Errorf("%s: %s at Status %d, Jobs %s at %d; want %d", stage, id, st.QueuePosition, jobs[i].ID, jobs[i].QueuePosition, want[id])
+			}
+			if queued := want[id] > 0; queued != (st.State == StateQueued && st.Seq < 0) {
+				t.Errorf("%s: %s is %s seq %d with position %d", stage, id, st.State, st.Seq, st.QueuePosition)
+			}
+		}
+	}
+	check("all queued")
+	// Round-robin sequences a/0 then b/0; everyone behind them moves up.
+	s.Advance(2)
+	want = map[string]int{"a/1": 1, "a/2": 2, "b/1": 1}
+	check("after two")
+	s.Advance(0)
+	want = map[string]int{}
+	check("all sequenced")
+}
+
 // A job too large for any device is accepted into the log and then
 // deterministically rejected by the scheduler's admission control —
 // the same outcome a trace replay produces.
