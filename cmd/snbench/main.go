@@ -119,18 +119,27 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S*?)(?:-\d+)?\s+\d+\s+([0-9.]+) 
 
 // parseBench folds `go test -bench` output into a Summary, keeping
 // the minimum per benchmark across repetitions for ns/op and, when
-// present, for B/op and allocs/op.
+// present, for B/op and allocs/op. Input where two different raw
+// names fold to one row is refused: a sub-benchmark named like
+// "n-4" loses its "-4" to the GOMAXPROCS strip on a 1-CPU machine, and
+// silently merging distinct benchmarks would gate the wrong numbers.
 func parseBench(r io.Reader) (*Summary, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
 	sum := &Summary{Schema: 2, Benchmarks: map[string]BenchStat{}}
+	raw := map[string]string{}
 	for _, line := range regexp.MustCompile(`\r?\n`).Split(string(data), -1) {
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
+		name := strings.Fields(line)[0]
+		if prev, seen := raw[m[1]]; seen && prev != name {
+			return nil, fmt.Errorf("snbench: %s and %s both fold to %s once a -<digits> suffix is stripped", prev, name, m[1])
+		}
+		raw[m[1]] = name
 		ns, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
 			return nil, fmt.Errorf("snbench: bad ns/op in %q: %v", line, err)

@@ -57,6 +57,19 @@ func TestParseBenchRejectsEmptyInput(t *testing.T) {
 	}
 }
 
+// TestParseBenchRejectsFoldedNames: on a 1-CPU machine go test prints
+// no GOMAXPROCS suffix, so "cotenants-1" and "cotenants-4" would both
+// fold to "cotenants"; parse must refuse instead of merging them.
+func TestParseBenchRejectsFoldedNames(t *testing.T) {
+	in := `BenchmarkCrossJobPlanner/shared/cotenants-1 	       1	    275208 ns/op
+BenchmarkCrossJobPlanner/shared/cotenants-4 	       1	   1020000 ns/op
+`
+	_, err := parseBench(strings.NewReader(in))
+	if err == nil || !strings.Contains(err.Error(), "both fold to BenchmarkCrossJobPlanner/shared/cotenants") {
+		t.Errorf("colliding names accepted or misreported: %v", err)
+	}
+}
+
 // TestParseBenchMemColumns covers the schema-2 path: allocs/op and
 // B/op are folded with the per-column minimum, custom metrics between
 // ns/op and the memory columns are skipped, and lines without memory

@@ -3,6 +3,7 @@ package sched
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"reflect"
@@ -127,15 +128,15 @@ func TestCrossJobSnapshotRoundTrip(t *testing.T) {
 			}
 		}
 		inc.AdvanceTo(jobs[split].Arrival)
-		snap := EncodeSnapshot(inc)
-		if !bytes.Contains(snap, []byte("\nplan ")) {
-			t.Fatalf("split %d: cross-job snapshot carries no plan record", split)
+		snap := mustEncode(t, inc)
+		if !bytes.Contains(snap, []byte(`"Demand":`)) {
+			t.Fatalf("split %d: cross-job snapshot carries no planner demand", split)
 		}
 		restored, err := RestoreIncremental(snap, est)
 		if err != nil {
 			t.Fatalf("split %d: restore: %v", split, err)
 		}
-		if again := EncodeSnapshot(restored); !bytes.Equal(again, snap) {
+		if again := mustEncode(t, restored); !bytes.Equal(again, snap) {
 			t.Fatalf("split %d: snapshot not stable across restore", split)
 		}
 		for _, j := range jobs[split:] {
@@ -153,10 +154,10 @@ func TestCrossJobSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotRestoresIsolated: a snapshot without a plan record
-// — every snapshot taken before cross-job planning existed — restores
-// to the historical isolated admission, and non-cross-job snapshots
-// never emit the new records.
+// TestLegacySnapshotRestoresIsolated: an isolated snapshot carries no
+// planner demands and restores to isolated admission without
+// planners; a planner demand in a snapshot without CrossJob is a
+// malformed snapshot, not a silent planner activation.
 func TestLegacySnapshotRestoresIsolated(t *testing.T) {
 	inc, err := NewIncremental(testCluster(), Packing, nil)
 	if err != nil {
@@ -168,11 +169,9 @@ func TestLegacySnapshotRestoresIsolated(t *testing.T) {
 		}
 	}
 	inc.AdvanceTo(sim.Time(70 * sim.Millisecond))
-	snap := EncodeSnapshot(inc)
-	for _, record := range []string{"\nplan ", "\ndemand "} {
-		if bytes.Contains(snap, []byte(record)) {
-			t.Fatalf("isolated snapshot carries a %q record", strings.TrimSpace(record))
-		}
+	snap := mustEncode(t, inc)
+	if bytes.Contains(snap, []byte(`"Demand":`)) {
+		t.Fatal("isolated snapshot carries a planner demand")
 	}
 	restored, err := RestoreIncremental(snap, nil)
 	if err != nil {
@@ -181,12 +180,29 @@ func TestLegacySnapshotRestoresIsolated(t *testing.T) {
 	if restored.ex.crossjob || restored.ex.planners != nil {
 		t.Fatal("isolated snapshot restored with cross-job planners")
 	}
-	// A demand record without a plan record is a malformed snapshot,
-	// not a silent planner activation.
-	bad := mutate(snap, "pending ", "demand 0 1 0 0\npending ")
-	if _, err := RestoreIncremental(bad, nil); err == nil {
-		t.Fatal("decoder accepted a demand record without a plan record")
+	bad := editSnapshot(t, crossJobSnapshot(t, NewEstimator()), "Cluster.CrossJob", false)
+	if _, err := RestoreIncremental(bad, nil); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("want ErrBadSnapshot for a demand without CrossJob, got %v", err)
 	}
+}
+
+// crossJobSnapshot pauses the co-tenant stream under cross-job
+// planning after its first eight arrivals and encodes it.
+func crossJobSnapshot(t *testing.T, est *Estimator) []byte {
+	t.Helper()
+	inc, err := NewIncremental(coTenantCluster(true), Packing, est)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := JobsFromTrace(workload.CoTenantTrace())
+	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].Arrival < jobs[j].Arrival })
+	for _, j := range jobs[:8] {
+		if _, err := inc.Append(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inc.AdvanceTo(jobs[8].Arrival)
+	return mustEncode(t, inc)
 }
 
 // TestCrossJobPreemptionDeterministic drives the priority policy —
@@ -216,43 +232,32 @@ func TestCrossJobPreemptionDeterministic(t *testing.T) {
 	t.Logf("priority: %d preemptions, makespan %v, mean wait %v", pre, a.Makespan, a.MeanWait())
 }
 
-// TestCrossJobSnapshotRejectsCorruption: hand-corrupted plan/demand
-// records must fail restore with an error, never restore wrong or
-// panic — the same discipline FuzzRestoreIncremental enforces on the
-// base format.
+// TestCrossJobSnapshotRejectsCorruption: a hand-corrupted spill pool
+// or planner demand must fail restore with ErrBadSnapshot, never
+// restore wrong or panic — the same discipline FuzzRestoreIncremental
+// enforces on the whole document.
 func TestCrossJobSnapshotRejectsCorruption(t *testing.T) {
-	c := coTenantCluster(true)
 	est := NewEstimator()
-	inc, err := NewIncremental(c, Packing, est)
-	if err != nil {
-		t.Fatal(err)
+	snap := crossJobSnapshot(t, est)
+	if _, err := RestoreIncremental(snap, est); err != nil {
+		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
-	jobs := JobsFromTrace(workload.CoTenantTrace())
-	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].Arrival < jobs[j].Arrival })
-	for _, j := range jobs[:8] {
-		if _, err := inc.Append(j); err != nil {
-			t.Fatal(err)
-		}
-	}
-	inc.AdvanceTo(jobs[8].Arrival)
-	snap := EncodeSnapshot(inc)
-	if !bytes.Contains(snap, []byte("\ndemand ")) {
-		t.Fatal("test premise: snapshot carries no demand records")
-	}
-	for _, tc := range []struct{ name, old, new string }{
-		{"zero spill pool", "plan 8589934592", "plan 0"},
-		{"negative spill pool", "plan 8589934592", "plan -1"},
-		{"malformed plan record", "plan 8589934592", "plan 1 2"},
-		{"non-numeric tensor key", "demand 0 ", "demand 0 x"},
-		{"demand index out of range", "demand 0 ", "demand 99 "},
-		{"demand fields truncated", "demand 0 ", "demand "},
+	for _, tc := range []struct {
+		name, path string
+		val        any
+	}{
+		{"zero spill pool", "Cluster.HostSpillBytes", 0},
+		{"negative spill pool", "Cluster.HostSpillBytes", -1},
+		{"malformed plan record", "Cluster.CrossJob", "1 2"},
+		{"non-numeric tensor key", "Jobs.0.Demand.Tensors.0.Key", "x"},
+		// The demand must name its own job in the device planner.
+		{"demand index out of range", "Jobs.0.Demand.Job", "00000099"},
+		// A demand cut down to its name no longer matches the estimate.
+		{"demand fields truncated", "Jobs.0.Demand", map[string]any{"Job": "00000000"}},
 	} {
-		bad := mutate(snap, tc.old, tc.new)
-		if bytes.Equal(bad, snap) {
-			t.Fatalf("%s: mutation %q not applied", tc.name, tc.old)
-		}
-		if _, err := RestoreIncremental(bad, est); err == nil {
-			t.Fatalf("%s: corrupted snapshot restored without error", tc.name)
+		bad := editSnapshot(t, snap, tc.path, tc.val)
+		if _, err := RestoreIncremental(bad, est); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("%s: want ErrBadSnapshot, got %v", tc.name, err)
 		}
 	}
 }

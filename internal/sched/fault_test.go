@@ -2,6 +2,8 @@ package sched
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -196,12 +198,12 @@ func TestFaultSnapshotMidOutage(t *testing.T) {
 			}
 		}
 		inc.AdvanceTo(ms(pause))
-		snap := EncodeSnapshot(inc)
+		snap := mustEncode(t, inc)
 		restored, err := RestoreIncremental(snap, est)
 		if err != nil {
 			t.Fatalf("pause %dms: restore: %v", pause, err)
 		}
-		if again := EncodeSnapshot(restored); !bytes.Equal(snap, again) {
+		if again := mustEncode(t, restored); !bytes.Equal(snap, again) {
 			t.Fatalf("pause %dms: snapshot not byte-stable through restore", pause)
 		}
 		got, err := restored.Result()
@@ -348,28 +350,9 @@ func TestFaultSingleDeviceRequeue(t *testing.T) {
 	}
 }
 
-// mutateLine finds the first snapshot line with the prefix and
-// replaces one whitespace-separated field (negative indexes count from
-// the end of the line).
-func mutateLine(b []byte, prefix string, field int, val string) []byte {
-	lines := strings.Split(string(b), "\n")
-	for i, ln := range lines {
-		if strings.HasPrefix(ln, prefix) {
-			f := strings.Fields(ln)
-			if field < 0 {
-				field += len(f)
-			}
-			f[field] = val
-			lines[i] = strings.Join(f, " ")
-			break
-		}
-	}
-	return []byte(strings.Join(lines, "\n"))
-}
-
-// TestFaultSnapshotDecodeErrors corrupts the fault extensions of a
-// mid-outage snapshot; each corruption must error cleanly, never panic
-// or restore an inconsistent replay.
+// TestFaultSnapshotDecodeErrors corrupts the fault state of a
+// mid-outage snapshot; each corruption must error cleanly with
+// ErrBadSnapshot, never panic or restore an inconsistent replay.
 func TestFaultSnapshotDecodeErrors(t *testing.T) {
 	c, jobs := faultCluster(t)
 	inc, err := NewIncremental(c, TopoPacking, nil)
@@ -384,29 +367,40 @@ func TestFaultSnapshotDecodeErrors(t *testing.T) {
 	// Pause mid-outage: device 4 is down, the gang has shrunk, and the
 	// recovery event is still queued.
 	inc.AdvanceTo(ms(2500))
-	good := EncodeSnapshot(inc)
+	good := mustEncode(t, inc)
 	if _, err := RestoreIncremental(good, nil); err != nil {
 		t.Fatalf("pristine snapshot rejected: %v", err)
 	}
+	recovery := -1
+	for k, ev := range inc.ex.q {
+		if ev.class == classFault && ev.job == 1 {
+			recovery = k
+		}
+	}
+	if recovery < 0 {
+		t.Fatal("test premise: no queued recovery event")
+	}
 
 	cases := map[string][]byte{
-		// faults record: declared count vs fields present, and the plan
-		// re-validation in newExec.
-		"faults count mismatch":     mutateLine(good, "faults ", 1, "4"),
-		"fault device out of range": mutateLine(good, "faults ", 3, "99"),
+		// The fault plan is re-validated by newExec.
+		"faults count mismatch":     editSnapshot(t, good, "Cluster.Faults.Events.1", c.Faults.Events[0]),
+		"fault device out of range": editSnapshot(t, good, "Cluster.Faults.Events.0.Device", 99),
 		// The queued recovery event's job field is the recover flag.
-		"bad fault recover flag": mutateLine(good, "ev 4000000000 2", 4, "7"),
+		"bad fault recover flag": editSnapshot(t, good, fmt.Sprintf("Events.%d.Job", recovery), 7),
 		// Per-job and per-device fault counters must be non-negative.
-		"negative restores":  mutateLine(good, "state 0 ", -4, "-1"),
-		"negative liveDone":  mutateLine(good, "state 0 ", -1, "-2"),
-		"negative downtime":  mutateLine(good, "dev 4 ", -2, "-5"),
-		"negative failcount": mutateLine(good, "dev 4 ", -1, "-1"),
+		"negative restores":  editSnapshot(t, good, "Jobs.0.Restores", -1),
+		"negative liveDone":  editSnapshot(t, good, "Jobs.0.LiveDone", -2),
+		"negative downtime":  editSnapshot(t, good, "Devs.4.Down", -5),
+		"negative failcount": editSnapshot(t, good, "Devs.4.Fails", -1),
 		// A failed device cannot hold residents or in-flight work.
-		"failed device with residents": mutateLine(good, "dev 0 ", -4, "1"),
+		"failed device with residents": editSnapshot(t, good, "Devs.0.Failed", true),
 	}
 	for name, data := range cases {
-		if _, err := RestoreIncremental(data, nil); err == nil {
+		_, err := RestoreIncremental(data, nil)
+		if err == nil {
 			t.Errorf("%s: decoder accepted corrupted snapshot", name)
+		} else if !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err %v does not match ErrBadSnapshot", name, err)
 		}
 	}
 }

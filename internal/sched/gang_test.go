@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -301,12 +302,12 @@ func TestGangSnapshotRoundTrip(t *testing.T) {
 	}
 	// Pause mid-flight so gangs are resident (and possibly marked).
 	inc.AdvanceTo(4 * sim.Time(sim.Millisecond))
-	snap := EncodeSnapshot(inc)
+	snap := mustEncode(t, inc)
 	restored, err := RestoreIncremental(snap, est)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again := EncodeSnapshot(restored); !bytes.Equal(again, snap) {
+	if again := mustEncode(t, restored); !bytes.Equal(again, snap) {
 		t.Error("snapshot does not round-trip byte for byte")
 	}
 	got, err := restored.Result()
@@ -318,16 +319,22 @@ func TestGangSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// Pre-gang snapshots (no topo record, no gang fields) still restore:
-// the decoder fills the zero topology and single-device placements.
+// TestPreGangSnapshotRestores: snapshots in the retired "snsnap 1"
+// text format (here a pre-gang one, which used to restore to the zero
+// topology) and documents at a future version are both refused with
+// ErrSnapshotVersion — there is one snapshot format and no legacy path.
 func TestPreGangSnapshotRestores(t *testing.T) {
 	legacy := "snsnap 1\npolicy packing\ndevice d 1 1024 0x0 0x0 0 0 0 0 0x3ff0000000000000 0x3ff0000000000000\ndevices 1\nclock 0 0 0\nagg 0 0 0 0\njobs 0\ndev 0 0 0 0 0 0 0 0 0x0 0 0\npending 0\nevents 0\nend\n"
-	inc, err := RestoreIncremental([]byte(legacy), nil)
+	inc, err := NewIncremental(Cluster{Device: hw.TeslaK40c, Devices: 1}, Packing, nil)
 	if err != nil {
-		t.Fatalf("legacy snapshot failed to restore: %v", err)
-	}
-	if _, err := inc.Result(); err != nil {
 		t.Fatal(err)
+	}
+	future := editSnapshot(t, mustEncode(t, inc), "Version", 3)
+	for name, data := range map[string][]byte{"snsnap 1 text": []byte(legacy), "version 3": future} {
+		_, err := RestoreIncremental(data, nil)
+		if !errors.Is(err, ErrSnapshotVersion) || !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: want ErrSnapshotVersion, got %v", name, err)
+		}
 	}
 }
 

@@ -1,8 +1,13 @@
 package sched
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -174,53 +179,58 @@ func TestAppendBeforeWatermarkRejected(t *testing.T) {
 // TestSnapshotRoundTrip pauses mid-stream, snapshots, restores, and
 // demands the restored replay finish byte-identically to both the
 // original and a batch run — including the snapshot bytes themselves
-// being stable across encode/restore/encode.
+// being stable across encode/restore/encode. The second cluster sizes
+// a host spill pool it never uses (CrossJob is off), which the batch
+// result still reports.
 func TestSnapshotRoundTrip(t *testing.T) {
 	jobs := testJobs()
-	c := testCluster()
+	spill := testCluster()
+	spill.HostSpillBytes = 8 << 30
 	for _, p := range Policies() {
 		t.Run(p.Name, func(t *testing.T) {
-			s, err := NewScheduler(c, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := s.Run(jobs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for split := 1; split < len(jobs); split++ {
-				inc, err := NewIncremental(c, p, nil)
+			for _, c := range []Cluster{testCluster(), spill} {
+				s, err := NewScheduler(c, p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, j := range jobs[:split] {
-					if _, err := inc.Append(j); err != nil {
+				want, err := s.Run(jobs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for split := 1; split < len(jobs); split++ {
+					inc, err := NewIncremental(c, p, nil)
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				inc.AdvanceTo(jobs[split].Arrival)
-				snap := EncodeSnapshot(inc)
-				restored, err := RestoreIncremental(snap, nil)
-				if err != nil {
-					t.Fatalf("split %d: restore: %v", split, err)
-				}
-				if again := EncodeSnapshot(restored); string(again) != string(snap) {
-					t.Fatalf("split %d: snapshot not stable across restore:\n--- first\n%s\n--- second\n%s", split, snap, again)
-				}
-				for _, j := range jobs[split:] {
-					if _, err := restored.Append(j); err != nil {
-						t.Fatal(err)
+					for _, j := range jobs[:split] {
+						if _, err := inc.Append(j); err != nil {
+							t.Fatal(err)
+						}
 					}
-				}
-				got, err := restored.Result()
-				if err != nil {
-					t.Fatalf("split %d: %v", split, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("split %d: snapshot-resumed result diverges from batch:\ngot  %+v\nwant %+v", split, got, want)
-				}
-				if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-					t.Fatalf("split %d: rendered results differ", split)
+					inc.AdvanceTo(jobs[split].Arrival)
+					snap := mustEncode(t, inc)
+					restored, err := RestoreIncremental(snap, nil)
+					if err != nil {
+						t.Fatalf("split %d: restore: %v", split, err)
+					}
+					if again := mustEncode(t, restored); string(again) != string(snap) {
+						t.Fatalf("split %d: snapshot not stable across restore:\n--- first\n%s\n--- second\n%s", split, snap, again)
+					}
+					for _, j := range jobs[split:] {
+						if _, err := restored.Append(j); err != nil {
+							t.Fatal(err)
+						}
+					}
+					got, err := restored.Result()
+					if err != nil {
+						t.Fatalf("split %d: %v", split, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("split %d: snapshot-resumed result diverges from batch:\ngot  %+v\nwant %+v", split, got, want)
+					}
+					if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
+						t.Fatalf("split %d: rendered results differ", split)
+					}
 				}
 			}
 		})
@@ -228,7 +238,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotDecodeErrors feeds the decoder malformed snapshots; each
-// must error cleanly.
+// must error cleanly with ErrBadSnapshot.
 func TestSnapshotDecodeErrors(t *testing.T) {
 	inc, err := NewIncremental(testCluster(), Packing, nil)
 	if err != nil {
@@ -240,46 +250,95 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 		}
 	}
 	inc.AdvanceTo(sim.Time(50 * sim.Millisecond))
-	good := EncodeSnapshot(inc)
+	good := mustEncode(t, inc)
+	if inc.ex.devs[0].maxRes != 1 || len(inc.ex.devs[0].resident) != 1 || len(inc.ex.devs[1].resident) != 1 {
+		t.Fatal("test premise: each device holds one resident")
+	}
 
 	cases := map[string][]byte{
 		"empty":        nil,
 		"bad magic":    []byte("snsnap 99\n"),
 		"truncated":    good[:len(good)/2],
-		"no end":       good[:len(good)-len("end\n")],
+		"no end":       good[:len(good)-len("}\n")],
 		"binary junk":  {0xff, 0xfe, 0x00, 0x01},
-		"huge count":   []byte(snapMagic + "\npolicy fifo\ndevice d 1 1 0x0 0x0 0 0 0 0 0x3ff0000000000000 0x3ff0000000000000\ndevices 999999999\n"),
-		"bad float":    []byte(snapMagic + "\npolicy fifo\ndevice d 1 1 zz 0x0 0 0 0 0 0x0 0x0\n"),
-		"unknown pol":  []byte(snapMagic + "\npolicy lottery\n"),
-		"neg devices":  []byte(snapMagic + "\npolicy fifo\ndevice d 1 1 0x0 0x0 0 0 0 0 0x0 0x0\ndevices -4\n"),
-		"resident mix": mutate(good, "dev 0 ", "dev 1 "),
+		"huge count":   editSnapshot(t, good, "Cluster.Devices", 999999999),
+		"bad float":    editSnapshot(t, good, "Cluster.Device.PeakFLOPS", "zz"),
+		"unknown pol":  editSnapshot(t, good, "Policy", "lottery"),
+		"neg devices":  editSnapshot(t, good, "Cluster.Devices", -4),
+		"resident mix": editSnapshot(t, good, "Devs.0.Resident", []int{1}),
+		// The co-residency high-water mark can never sit below the
+		// current residency.
+		"max residents below residency": editSnapshot(t, good, "Devs.0.MaxRes", 0),
 	}
 	for name, data := range cases {
-		if _, err := RestoreIncremental(data, nil); err == nil {
+		_, err := RestoreIncremental(data, nil)
+		if err == nil {
 			t.Errorf("%s: decoder accepted malformed snapshot", name)
+		} else if !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: err %v does not match ErrBadSnapshot", name, err)
 		}
 	}
 }
 
-// mutate replaces the first occurrence of old with new in a copy.
-func mutate(b []byte, old, new string) []byte {
-	s := string(b)
-	i := len(s)
-	for j := 0; j+len(old) <= len(s); j++ {
-		if s[j:j+len(old)] == old {
-			i = j
-			break
+// mustEncode is EncodeSnapshot failing the test on error.
+func mustEncode(t testing.TB, inc *Incremental) []byte {
+	t.Helper()
+	snap, err := EncodeSnapshot(inc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// editSnapshot decodes a snapshot document, sets the existing field at
+// a dotted path of object keys and array indices (e.g.
+// "Devs.0.MaxRes") to val, and re-encodes it. Numbers decode as
+// json.Number, so untouched 64-bit fields survive exactly.
+func editSnapshot(t testing.TB, snap []byte, path string, val any) []byte {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(snap))
+	dec.UseNumber()
+	var doc any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	keys := strings.Split(path, ".")
+	node := doc
+	for i, k := range keys {
+		last := i == len(keys)-1
+		switch n := node.(type) {
+		case map[string]any:
+			if _, ok := n[k]; !ok {
+				t.Fatalf("%s: no field %q", path, k)
+			}
+			if last {
+				n[k] = val
+			}
+			node = n[k]
+		case []any:
+			idx, err := strconv.Atoi(k)
+			if err != nil || idx < 0 || idx >= len(n) {
+				t.Fatalf("%s: no element %q", path, k)
+			}
+			if last {
+				n[idx] = val
+			}
+			node = n[idx]
+		default:
+			t.Fatalf("%s: %q is not inside an object or array", path, k)
 		}
 	}
-	if i == len(s) {
-		return b
+	out, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return []byte(s[:i] + new + s[i+len(old):])
+	return out
 }
 
 // FuzzRestoreIncremental asserts the snapshot decoder never panics,
 // and that anything it accepts re-encodes stably and can be drained
-// without panicking — the framing half of the fuzz satellite.
+// without panicking — the framing half of the fuzz satellite. The
+// text seeds are the retired "snsnap 1" format, which must be refused.
 func FuzzRestoreIncremental(f *testing.F) {
 	inc, err := NewIncremental(testCluster(), Packing, nil)
 	if err != nil {
@@ -291,9 +350,9 @@ func FuzzRestoreIncremental(f *testing.F) {
 		}
 	}
 	inc.AdvanceTo(sim.Time(70 * sim.Millisecond))
-	f.Add(EncodeSnapshot(inc))
+	f.Add(mustEncode(f, inc))
 	// A mid-outage seed: a failed device, a shrunk gang and a queued
-	// recovery event exercise the fault extensions of the format.
+	// recovery event exercise the fault state of the document.
 	fcl, fjobs := faultCluster(f)
 	finc, err := NewIncremental(fcl, TopoPacking, nil)
 	if err != nil {
@@ -305,17 +364,20 @@ func FuzzRestoreIncremental(f *testing.F) {
 		}
 	}
 	finc.AdvanceTo(sim.Time(2500 * sim.Millisecond))
-	f.Add(EncodeSnapshot(finc))
-	f.Add([]byte(snapMagic + "\npolicy fifo\n"))
+	f.Add(mustEncode(f, finc))
+	f.Add([]byte("snsnap 1\npolicy fifo\n"))
 	f.Add([]byte("snsnap 1\npolicy packing\ndevice d 1 1 0x0 0x0 0 0 0 0 0x3ff0000000000000 0x3ff0000000000000\ndevices 1\nclock 0 0 0\nagg 0 0 0 0\njobs 0\ndev 0 0 0 0 0 0 0 0 0x0 0\npending 0\nevents 0\nend\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restored, err := RestoreIncremental(data, nil)
 		if err != nil {
+			if !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("restore error %v does not match ErrBadSnapshot", err)
+			}
 			return
 		}
 		// Accepted snapshots must re-encode stably and drain cleanly
 		// (errors fine, panics not).
-		again := EncodeSnapshot(restored)
+		again := mustEncode(t, restored)
 		r2, err := RestoreIncremental(again, nil)
 		if err != nil {
 			t.Fatalf("re-encoded snapshot rejected: %v", err)

@@ -21,7 +21,7 @@ import (
 //
 // Events are plain data, not closures, for two reasons. First, a
 // paused execution can be deep-copied (Incremental.Clone) and
-// serialized (EncodeState) only if its in-flight events are
+// serialized (EncodeSnapshot) only if its in-flight events are
 // re-materializable; a closure capturing the original run's structs is
 // neither. Second, events carry an explicit (time, class, sequence)
 // key so the processing order is a total order over data: arrivals
@@ -816,8 +816,7 @@ func (e *exec) clone() *exec {
 // set. Planner state is a pure function of the member demand set, so
 // re-admitting the residents — in any order — reproduces the exact
 // plan: this is how clone and snapshot restore avoid serializing
-// planner internals, and why legacy snapshots (no planner state at
-// all) restore cleanly to isolated planning.
+// planner internals.
 func (e *exec) rebuildPlanners() error {
 	if !e.crossjob {
 		return nil

@@ -1,815 +1,385 @@
 package sched
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
-	"math"
-	"net/url"
-	"strconv"
-	"strings"
 
-	"repro/internal/hw"
+	"repro/internal/memmgr"
 	"repro/internal/memplan"
 	"repro/internal/sim"
 )
 
 // Snapshot serialization for a paused Incremental replay: the serving
-// layer's log-compaction checkpoint. The format is line-based text —
-// one keyword-prefixed record per line — so checkpoints diff cleanly
-// and corruption is locatable. Floats round-trip exactly through their
-// IEEE-754 bit patterns (the estimator key embeds the device spec, so
-// a restored spec must compare equal bit for bit), and strings through
-// percent-encoding (device names contain spaces, and every field must
-// survive a whitespace split). The decoder is
-// defensive: every record is bounds-checked, every index validated,
-// and malformed or truncated input returns an error — never a panic —
-// which FuzzRestoreIncremental enforces.
+// layer's log-compaction checkpoint. A snapshot is one encoding/json
+// document at a single version; there is no other format and no
+// compatibility path. Floats round-trip exactly (encoding/json writes
+// the shortest representation that parses back to the same bits — the
+// estimator key embeds the device spec, so a restored spec must
+// compare equal bit for bit). The decoder is defensive: unknown fields
+// and trailing data are refused, every index is validated, and
+// malformed input returns an error matching ErrBadSnapshot — never a
+// panic — which FuzzRestoreIncremental enforces.
 
-// snapMagic identifies the format; the version suffix gates future
-// layout changes.
-const snapMagic = "snsnap 1"
+// snapVersion is the only document version RestoreIncremental accepts.
+const snapVersion = 2
+
+// maxSnapDevices bounds the device count a snapshot may declare, so a
+// hostile document cannot make newExec allocate without limit.
+const maxSnapDevices = 1 << 16
+
+// ErrBadSnapshot is the sentinel under every RestoreIncremental
+// failure; errors.Is matches it through the per-field context.
+var ErrBadSnapshot = errors.New("sched: bad snapshot")
+
+// ErrSnapshotVersion reports a snapshot at a version this build does
+// not decode — including the retired "snsnap 1" text format. It wraps
+// ErrBadSnapshot.
+var ErrSnapshotVersion = fmt.Errorf("%w: unsupported version", ErrBadSnapshot)
+
+// snapshot is the serialized form of an exec plus its watermark. The
+// exported scheduler types travel as they are; the unexported
+// jobState, device and event fields are mirrored one for one. Planner
+// state is never serialized — restore re-admits each device's
+// residents (rebuildPlanners), and purity guarantees the identical
+// plan.
+type snapshot struct {
+	Version int
+	Policy  string
+	Cluster Cluster
+
+	Mark, Now sim.Time
+	DoneSeq   int64
+
+	FinCount, RejCount int
+	SumJCT, SumWait    sim.Duration
+
+	Jobs    []snapJob
+	Devs    []snapDevice
+	Pending []int // job indices
+	Events  []snapEvent
+}
+
+type snapJob struct {
+	Job
+	RejReason string
+	Est       memmgr.Estimate
+	IterTimes []sim.Duration
+	Remaining int
+	Device    int
+	Gang      []int
+	GangAR    sim.Duration
+	Started   bool
+	Start     sim.Time
+	Finish    sim.Time
+	Preempts  int
+	Marked    bool
+	Running   bool
+	LiveDone  int64
+	Restores  int
+	Shrinks   int
+	LostIters int
+	// Demand is the job's tensor-granularity planner demand under
+	// CrossJob, carried verbatim rather than rebuilt from the program:
+	// a restored replay must not depend on model-zoo code (or pay its
+	// dry-run cost) to resume, and a hostile snapshot must not be able
+	// to steer a program build.
+	Demand *memplan.Demand `json:",omitempty"`
+}
+
+type snapDevice struct {
+	FreeAt      sim.Time
+	Busy        sim.Duration
+	Used, Peak  int64
+	Resident    []int // job indices
+	RR          int
+	Inflight    bool
+	Iters       int
+	MaxRes      int
+	SpillPeak   int64
+	Failed      bool
+	DownSince   sim.Time
+	Down        sim.Duration
+	Fails       int
+	MemIntegral float64
+	LastT       sim.Time
+}
+
+type snapEvent struct {
+	At    sim.Time
+	Class uint8
+	Seq   int64
+	Job   int
+	Dev   int
+}
 
 // EncodeSnapshot serializes the paused replay. Restoring the bytes
 // with RestoreIncremental yields an Incremental whose Result() is
-// byte-identical to the original's.
-func EncodeSnapshot(inc *Incremental) []byte {
+// byte-identical to the original's. It fails only when the state holds
+// a non-finite float, which JSON cannot carry.
+func EncodeSnapshot(inc *Incremental) ([]byte, error) {
 	e := inc.ex
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s\n", snapMagic)
-	fmt.Fprintf(&b, "policy %s\n", e.policy.Name)
-	d := e.cluster.Device
-	fmt.Fprintf(&b, "device %s %d %d %s %s %d %d %d %d %s %s\n",
-		qstr(d.Name), d.DRAMBytes, d.UsableBytes,
-		fbits(d.PeakFLOPS), fbits(d.MemBWBytes),
-		int64(d.KernelLaunch), int64(d.CudaMalloc), int64(d.CudaFree), int64(d.PoolOp),
-		fbits(d.EffScale), fbits(d.MemEffScale))
-	fmt.Fprintf(&b, "devices %d\n", e.cluster.Devices)
-	// The topo record is newer than the magic: the decoder treats it as
-	// optional so pre-gang snapshots (no record) still restore, to the
-	// zero topology they were taken under.
-	tp := e.cluster.Topology
-	fmt.Fprintf(&b, "topo %d %d %d %s %s %d %s %s %d %s %s %d\n",
-		tp.DevicesPerNode, tp.NVLinkIsland, b2i(e.cluster.Overlap),
-		qstr(tp.NVLink.Name), fbits(tp.NVLink.BytesPerSec), int64(tp.NVLink.Latency),
-		qstr(tp.PCIe.Name), fbits(tp.PCIe.BytesPerSec), int64(tp.PCIe.Latency),
-		qstr(tp.Network.Name), fbits(tp.Network.BytesPerSec), int64(tp.Network.Latency))
-	// The plan record marks a CrossJob snapshot and carries the spill
-	// pool size; its absence restores the historical isolated admission,
-	// which is exactly what legacy snapshots ran under. Planner state is
-	// never serialized — restore re-admits each device's residents
-	// (rebuildPlanners), and purity guarantees the identical plan.
-	if e.crossjob {
-		fmt.Fprintf(&b, "plan %d\n", e.spillCap)
-	}
-	// The faults record carries the cluster's scripted fault plan; its
-	// absence restores the historical always-healthy cluster. The
-	// undelivered fault events themselves travel in the event queue
-	// like every other event — this record only preserves the plan for
-	// reporting and re-validation.
-	if n := len(e.cluster.Faults.Events); n > 0 {
-		fmt.Fprintf(&b, "faults %d", n)
-		for _, fe := range e.cluster.Faults.Events {
-			fmt.Fprintf(&b, " %d %d %d", int64(fe.At), fe.Device, b2i(fe.Recover))
-		}
-		b.WriteByte('\n')
-	}
-	fmt.Fprintf(&b, "clock %d %d %d\n", int64(inc.mark), int64(e.now), e.doneSeq)
-	fmt.Fprintf(&b, "agg %d %d %d %d\n", e.finCount, e.rejCount, int64(e.sumJCT), int64(e.sumWait))
-
-	fmt.Fprintf(&b, "jobs %d\n", len(e.states))
+	s := snapshot{Version: snapVersion, Policy: e.policy.Name, Cluster: e.cluster,
+		Mark: inc.mark, Now: e.now, DoneSeq: e.doneSeq,
+		FinCount: e.finCount, RejCount: e.rejCount, SumJCT: e.sumJCT, SumWait: e.sumWait,
+		Jobs: make([]snapJob, len(e.states)), Devs: make([]snapDevice, len(e.devs)),
+		Pending: seqs(e.pending), Events: make([]snapEvent, len(e.q))}
 	for i, js := range e.states {
-		fmt.Fprintf(&b, "job %d %s %s %s %d %d %d %d %s %d\n",
-			i, qstr(js.ID), qstr(js.Network), qstr(js.Manager),
-			js.Batch, js.Priority, int64(js.Arrival), js.Iterations, intList(js.BatchSchedule),
-			js.GPUs)
-		fmt.Fprintf(&b, "state %d %s %d %d %s %d %d %d %d %d %d %d %d",
-			i, qstr(js.rejReason),
-			js.est.PeakBytes, int64(js.est.IterTime), fbits(js.est.Throughput),
-			js.remaining, js.device, b2i(js.started), int64(js.start), int64(js.finish),
-			js.preempts, b2i(js.marked), b2i(js.running))
-		fmt.Fprintf(&b, " %d", len(js.iterTimes))
-		for _, t := range js.iterTimes {
-			fmt.Fprintf(&b, " %d", int64(t))
-		}
-		// Gang placement and all-reduce price, appended after the
-		// iteration times; the decoder accepts their absence (pre-gang
-		// snapshots). GradientBytes rides along so a restored gang
-		// re-prices identically after a preemption, and the estimate's
-		// floor and spill traffic (newer still — the decoder accepts
-		// their absence too) so a re-admitted job plans identically.
-		// Newest of all, the fault-recovery counters and the live
-		// completion sequence (the stale-completion guard).
-		fmt.Fprintf(&b, " %s %d %d %d %d", intList(js.gang), int64(js.gangAR), js.est.GradientBytes,
-			js.est.FloorBytes, js.est.SpillBytes)
-		fmt.Fprintf(&b, " %d %d %d %d", js.restores, js.shrinks, js.lostIters, js.liveDone)
-		b.WriteByte('\n')
-		// The demand record serializes the job's tensor-granularity
-		// planner demand directly rather than rebuilding it from the
-		// program at restore — a restored replay must not depend on
-		// model-zoo code (or pay its dry-run cost) to resume, and a
-		// hostile snapshot must not be able to steer a program build.
+		s.Jobs[i] = snapJob{Job: js.Job, RejReason: js.rejReason, Est: js.est, IterTimes: js.iterTimes,
+			Remaining: js.remaining, Device: js.device, Gang: js.gang, GangAR: js.gangAR,
+			Started: js.started, Start: js.start, Finish: js.finish, Preempts: js.preempts,
+			Marked: js.marked, Running: js.running, LiveDone: js.liveDone,
+			Restores: js.restores, Shrinks: js.shrinks, LostIters: js.lostIters}
 		if e.crossjob && js.demand.Job != "" {
-			fmt.Fprintf(&b, "demand %d %d %d %d", i, js.demand.FloorBytes, js.demand.SpillBytes, len(js.demand.Tensors))
-			for _, td := range js.demand.Tensors {
-				fmt.Fprintf(&b, " %s %d %d %d", strconv.FormatUint(td.Key, 10), td.Bytes, td.Width, td.NextUse)
-			}
-			b.WriteByte('\n')
+			d := js.demand
+			s.Jobs[i].Demand = &d
 		}
 	}
-
 	for i, d := range e.devs {
-		fmt.Fprintf(&b, "dev %d %d %d %d %d %d %d %d %s %d",
-			i, int64(d.freeAt), int64(d.busy), d.used, d.peak, d.rr, b2i(d.inflight),
-			d.iters, fbits(d.memIntegral), int64(d.lastT))
-		fmt.Fprintf(&b, " %d", len(d.resident))
-		for _, r := range d.resident {
-			fmt.Fprintf(&b, " %d", r.seq)
-		}
-		// Co-tenancy high-water marks, appended after the residents; the
-		// decoder accepts their absence (older snapshots). Newer still,
-		// the fault state (failed flag, outage stamps, failure count).
-		fmt.Fprintf(&b, " %d %d", d.maxRes, d.spillPeak)
-		fmt.Fprintf(&b, " %d %d %d %d", b2i(d.failed), int64(d.downSince), int64(d.down), d.fails)
-		b.WriteByte('\n')
+		s.Devs[i] = snapDevice{FreeAt: d.freeAt, Busy: d.busy, Used: d.used, Peak: d.peak,
+			Resident: seqs(d.resident), RR: d.rr, Inflight: d.inflight, Iters: d.iters,
+			MaxRes: d.maxRes, SpillPeak: d.spillPeak,
+			Failed: d.failed, DownSince: d.downSince, Down: d.down, Fails: d.fails,
+			MemIntegral: d.memIntegral, LastT: d.lastT}
 	}
+	for i, ev := range e.q {
+		s.Events[i] = snapEvent{At: ev.at, Class: ev.class, Seq: ev.seq, Job: ev.job, Dev: ev.dev}
+	}
+	b, err := json.Marshal(&s)
+	if err != nil {
+		return nil, fmt.Errorf("sched: encoding snapshot: %w", err)
+	}
+	return append(b, '\n'), nil
+}
 
-	fmt.Fprintf(&b, "pending %d", len(e.pending))
-	for _, p := range e.pending {
-		fmt.Fprintf(&b, " %d", p.seq)
+// seqs lists the jobs' trace indices.
+func seqs(list []*jobState) []int {
+	out := make([]int, len(list))
+	for i, js := range list {
+		out[i] = js.seq
 	}
-	b.WriteByte('\n')
-
-	fmt.Fprintf(&b, "events %d\n", len(e.q))
-	for _, ev := range e.q {
-		fmt.Fprintf(&b, "ev %d %d %d %d %d\n", int64(ev.at), ev.class, ev.seq, ev.job, ev.dev)
-	}
-	fmt.Fprintf(&b, "end\n")
-	return b.Bytes()
+	return out
 }
 
 // RestoreIncremental reconstructs a paused replay from EncodeSnapshot
 // bytes. The estimator est seeds dry-run estimates for jobs appended
 // after the restore (nil allocates a fresh one); already-snapshotted
-// jobs carry their estimates in the snapshot.
+// jobs carry their estimates in the snapshot. Every failure matches
+// ErrBadSnapshot; a document at another version (or in the retired
+// text format) also matches ErrSnapshotVersion.
 func RestoreIncremental(data []byte, est *Estimator) (*Incremental, error) {
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	r := &snapReader{sc: sc}
+	inc, err := restoreSnapshot(data, est)
+	if err != nil && !errors.Is(err, ErrBadSnapshot) {
+		err = fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+	}
+	return inc, err
+}
 
-	if line := r.next(); line != snapMagic {
-		return nil, fmt.Errorf("sched: snapshot: bad magic %q", line)
+func restoreSnapshot(data []byte, est *Estimator) (*Incremental, error) {
+	if bytes.HasPrefix(data, []byte("snsnap ")) {
+		line, _, _ := bytes.Cut(data, []byte{'\n'})
+		return nil, fmt.Errorf("%w: %q text", ErrSnapshotVersion, line)
+	}
+	// Probe the version leniently first, so a newer document is
+	// reported as a version mismatch rather than as unknown fields.
+	// Unmarshal also refuses trailing data after the document.
+	var probe struct{ Version int }
+	if err := json.Unmarshal(data, &probe); err != nil {
+		return nil, err
+	}
+	if probe.Version != snapVersion {
+		return nil, fmt.Errorf("%w %d (want %d)", ErrSnapshotVersion, probe.Version, snapVersion)
+	}
+	var s snapshot
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&s); err != nil {
+		return nil, err
 	}
 
-	f := r.fields("policy", 2)
-	if r.err != nil {
-		return nil, r.err
+	ndev := s.Cluster.Devices
+	if ndev > maxSnapDevices {
+		return nil, fmt.Errorf("%d devices exceeds the limit of %d", ndev, maxSnapDevices)
 	}
-	policy, ok := PolicyByName(f[1])
+	if s.Cluster.CrossJob && s.Cluster.HostSpillBytes <= 0 {
+		return nil, fmt.Errorf("cross-job cluster with spill pool %d", s.Cluster.HostSpillBytes)
+	}
+	policy, ok := PolicyByName(s.Policy)
 	if !ok {
-		return nil, fmt.Errorf("sched: snapshot: unknown policy %q", f[1])
+		return nil, fmt.Errorf("unknown policy %q", s.Policy)
 	}
-
-	f = r.fields("device", 12)
-	if r.err != nil {
-		return nil, r.err
-	}
-	var spec hw.DeviceSpec
-	spec.Name = r.unquote(f[1])
-	spec.DRAMBytes = r.i64(f[2])
-	spec.UsableBytes = r.i64(f[3])
-	spec.PeakFLOPS = r.f64(f[4])
-	spec.MemBWBytes = r.f64(f[5])
-	spec.KernelLaunch = sim.Duration(r.i64(f[6]))
-	spec.CudaMalloc = sim.Duration(r.i64(f[7]))
-	spec.CudaFree = sim.Duration(r.i64(f[8]))
-	spec.PoolOp = sim.Duration(r.i64(f[9]))
-	spec.EffScale = r.f64(f[10])
-	spec.MemEffScale = r.f64(f[11])
-
-	f = r.fields("devices", 2)
-	ndev := r.count(f, 1, 1<<16)
-	// Optional topo record: absent in pre-gang snapshots, which were
-	// taken under the zero topology (one flat PCIe-peer node).
-	var topo hw.Topology
-	overlap := false
-	if f := r.fieldsOpt("topo", 13); f != nil {
-		topo.DevicesPerNode = int(r.i64(f[1]))
-		topo.NVLinkIsland = int(r.i64(f[2]))
-		overlap = r.i64(f[3]) != 0
-		topo.NVLink = hw.LinkSpec{Name: r.unquote(f[4]), BytesPerSec: r.f64(f[5]), Latency: sim.Duration(r.i64(f[6]))}
-		topo.PCIe = hw.LinkSpec{Name: r.unquote(f[7]), BytesPerSec: r.f64(f[8]), Latency: sim.Duration(r.i64(f[9]))}
-		topo.Network = hw.LinkSpec{Name: r.unquote(f[10]), BytesPerSec: r.f64(f[11]), Latency: sim.Duration(r.i64(f[12]))}
-	}
-	// Optional plan record: present exactly when the snapshot was taken
-	// under CrossJob. Legacy snapshots restore to isolated admission.
-	crossjob := false
-	var spillCap int64
-	if f := r.fieldsOpt("plan", 2); f != nil {
-		crossjob = true
-		if len(f) != 2 {
-			return nil, fmt.Errorf("sched: snapshot: plan record needs 2 fields, got %d", len(f))
-		}
-		spillCap = r.i64(f[1])
-		if r.err == nil && spillCap <= 0 {
-			return nil, fmt.Errorf("sched: snapshot: plan record with spill pool %d", spillCap)
-		}
-	}
-	// Optional faults record: the scripted fault plan. Legacy snapshots
-	// (no record) restore to the always-healthy cluster. The plan is
-	// re-validated by newExec below, so a hand-crafted record cannot
-	// smuggle in an inconsistent event sequence.
-	var faults FaultPlan
-	if f := r.fieldsOpt("faults", 2); f != nil {
-		nfe := r.count(f, 1, 1<<16)
-		rest := r.tail(2)
-		if r.err == nil && len(rest) != 3*nfe {
-			return nil, fmt.Errorf("sched: snapshot: %d fault events declared, %d fields present", nfe, len(rest))
-		}
-		for k := 0; k < nfe && r.err == nil; k++ {
-			faults.Events = append(faults.Events, FaultEvent{
-				At:      sim.Time(r.i64(rest[3*k])),
-				Device:  int(r.i64(rest[3*k+1])),
-				Recover: r.i64(rest[3*k+2]) != 0,
-			})
-		}
-	}
-	f = r.fields("clock", 4)
-	if r.err != nil {
-		return nil, r.err
-	}
-	mark := sim.Time(r.i64(f[1]))
-	now := sim.Time(r.i64(f[2]))
-	doneSeq := r.i64(f[3])
-	f = r.fields("agg", 5)
-	if r.err != nil {
-		return nil, r.err
-	}
-	finCount := int(r.i64(f[1]))
-	rejCount := int(r.i64(f[2]))
-	sumJCT := sim.Duration(r.i64(f[3]))
-	sumWait := sim.Duration(r.i64(f[4]))
-
-	ex, err := newExec(Cluster{Device: spec, Devices: ndev, Topology: topo, Overlap: overlap,
-		CrossJob: crossjob, HostSpillBytes: spillCap, Faults: faults}, policy, est)
+	// newExec re-validates the fault plan, so a hand-crafted document
+	// cannot smuggle in an inconsistent event sequence.
+	ex, err := newExec(s.Cluster, policy, est)
 	if err != nil {
-		if r.err != nil {
-			return nil, r.err
-		}
-		return nil, fmt.Errorf("sched: snapshot: %w", err)
+		return nil, err
 	}
-	ex.now = now
-	ex.doneSeq = doneSeq
-	ex.finCount = finCount
-	ex.rejCount = rejCount
-	ex.sumJCT = sumJCT
-	ex.sumWait = sumWait
+	ex.now, ex.doneSeq = s.Now, s.DoneSeq
+	ex.finCount, ex.rejCount = s.FinCount, s.RejCount
+	ex.sumJCT, ex.sumWait = s.SumJCT, s.SumWait
 
-	f = r.fields("jobs", 2)
-	njobs := r.count(f, 1, 1<<24)
-	if r.err != nil {
-		return nil, r.err
-	}
-	for i := 0; i < njobs && r.err == nil; i++ {
-		f = r.fields("job", 10)
-		if r.err != nil {
-			break
+	ex.states = make([]*jobState, 0, len(s.Jobs))
+	for i, sj := range s.Jobs {
+		js := &jobState{Job: sj.Job, seq: i, rejReason: sj.RejReason, est: sj.Est, iterTimes: sj.IterTimes,
+			remaining: sj.Remaining, device: sj.Device, gang: sj.Gang, gangAR: sj.GangAR,
+			started: sj.Started, start: sj.Start, finish: sj.Finish, preempts: sj.Preempts,
+			marked: sj.Marked, running: sj.Running, liveDone: sj.LiveDone,
+			restores: sj.Restores, shrinks: sj.Shrinks, lostIters: sj.LostIters}
+		if sj.Demand != nil {
+			js.demand = *sj.Demand
 		}
-		if int(r.i64(f[1])) != i {
-			return nil, fmt.Errorf("sched: snapshot: job record %s out of order (want %d)", f[1], i)
-		}
-		js := &jobState{seq: i}
-		js.ID = r.unquote(f[2])
-		js.Network = r.unquote(f[3])
-		js.Manager = r.unquote(f[4])
-		js.Batch = int(r.i64(f[5]))
-		js.Priority = int(r.i64(f[6]))
-		js.Arrival = sim.Time(r.i64(f[7]))
-		js.Iterations = int(r.i64(f[8]))
-		js.BatchSchedule = r.ints(f[9])
-		js.GPUs = 1
-		if len(f) > 10 {
-			js.GPUs = int(r.i64(f[10]))
-		}
-
-		f = r.fields("state", 15)
-		if r.err != nil {
-			break
-		}
-		if int(r.i64(f[1])) != i {
-			return nil, fmt.Errorf("sched: snapshot: state record %s out of order (want %d)", f[1], i)
-		}
-		js.rejReason = r.unquote(f[2])
-		js.est.PeakBytes = r.i64(f[3])
-		js.est.IterTime = sim.Duration(r.i64(f[4]))
-		js.est.Throughput = r.f64(f[5])
-		js.remaining = int(r.i64(f[6]))
-		js.device = int(r.i64(f[7]))
-		js.started = r.i64(f[8]) != 0
-		js.start = sim.Time(r.i64(f[9]))
-		js.finish = sim.Time(r.i64(f[10]))
-		js.preempts = int(r.i64(f[11]))
-		js.marked = r.i64(f[12]) != 0
-		js.running = r.i64(f[13]) != 0
-		nit := r.count(f, 14, 1<<20)
-		if r.err != nil {
-			break
-		}
-		rest := r.tail(14 + 1)
-		// Pre-gang snapshots end the record at the iteration times;
-		// gang-era ones append the placement, its all-reduce price and
-		// the gradient volume; later ones also append the estimate's
-		// floor and spill traffic; current ones the fault-recovery
-		// counters and live completion sequence. A legacy job's
-		// liveDone is reconstructed from the event queue below.
-		js.liveDone = -1
-		if len(rest) != nit && len(rest) != nit+3 && len(rest) != nit+5 && len(rest) != nit+9 {
-			return nil, fmt.Errorf("sched: snapshot: job %d: %d iteration times declared, %d fields present", i, nit, len(rest))
-		}
-		js.iterTimes = make([]sim.Duration, 0, nit)
-		for _, s := range rest[:nit] {
-			js.iterTimes = append(js.iterTimes, sim.Duration(r.i64(s)))
-		}
-		if len(rest) >= nit+3 {
-			js.gang = r.ints(rest[nit])
-			js.gangAR = sim.Duration(r.i64(rest[nit+1]))
-			js.est.GradientBytes = r.i64(rest[nit+2])
-		}
-		if len(rest) >= nit+5 {
-			js.est.FloorBytes = r.i64(rest[nit+3])
-			js.est.SpillBytes = r.i64(rest[nit+4])
-		}
-		if len(rest) == nit+9 {
-			js.restores = int(r.i64(rest[nit+5]))
-			js.shrinks = int(r.i64(rest[nit+6]))
-			js.lostIters = int(r.i64(rest[nit+7]))
-			js.liveDone = r.i64(rest[nit+8])
-		}
-		// Optional demand record: the job's planner demand under
-		// CrossJob, replayed verbatim so rebuildPlanners reproduces the
-		// paused plan bit for bit.
-		if f := r.fieldsOpt("demand", 5); f != nil {
-			if !crossjob {
-				return nil, fmt.Errorf("sched: snapshot: job %d has a demand record without a plan record", i)
-			}
-			if int(r.i64(f[1])) != i {
-				return nil, fmt.Errorf("sched: snapshot: demand record %s out of order (want %d)", f[1], i)
-			}
-			js.demand = memplan.Demand{
-				Job:        plannerID(js),
-				PeakBytes:  js.est.PeakBytes,
-				FloorBytes: r.i64(f[2]),
-				SpillBytes: r.i64(f[3]),
-				IterTime:   js.est.IterTime,
-			}
-			ntd := r.count(f, 4, 1<<16)
-			td := r.tail(5)
-			if r.err == nil && len(td) != 4*ntd {
-				return nil, fmt.Errorf("sched: snapshot: job %d: %d demand tensors declared, %d fields present", i, ntd, len(td))
-			}
-			for k := 0; k < ntd && r.err == nil; k++ {
-				js.demand.Tensors = append(js.demand.Tensors, memplan.TensorDemand{
-					Key:     r.u64(td[4*k]),
-					Bytes:   r.i64(td[4*k+1]),
-					Width:   int(r.i64(td[4*k+2])),
-					NextUse: int(r.i64(td[4*k+3])),
-				})
-			}
-		}
-		// Resume safety: these invariants are what the event loop
-		// relies on to never index out of range, so a corrupted
-		// snapshot must fail here, not panic later.
-		if js.Iterations < 1 {
-			return nil, fmt.Errorf("sched: snapshot: job %d has %d iterations", i, js.Iterations)
-		}
-		if js.GPUs < 1 {
-			return nil, fmt.Errorf("sched: snapshot: job %d has gang size %d", i, js.GPUs)
-		}
-		if js.rejReason == "" {
-			if len(js.iterTimes) == 0 {
-				return nil, fmt.Errorf("sched: snapshot: job %d has no iteration times", i)
-			}
-			if js.remaining < 0 || js.remaining > js.Iterations {
-				return nil, fmt.Errorf("sched: snapshot: job %d has %d of %d iterations remaining", i, js.remaining, js.Iterations)
-			}
-			if js.device < -1 || js.device >= ndev {
-				return nil, fmt.Errorf("sched: snapshot: job %d on device %d of %d", i, js.device, ndev)
-			}
-			if js.gangAR < 0 {
-				return nil, fmt.Errorf("sched: snapshot: job %d has negative all-reduce price", i)
-			}
-			if js.restores < 0 || js.shrinks < 0 || js.lostIters < 0 || js.liveDone < -1 {
-				return nil, fmt.Errorf("sched: snapshot: job %d has negative fault counters", i)
-			}
-			// Gang members must be valid, strictly ascending device
-			// indices — the event loop indexes devices through them.
-			for k, g := range js.gang {
-				if g < 0 || g >= ndev {
-					return nil, fmt.Errorf("sched: snapshot: job %d gang member %d of %d devices", i, g, ndev)
-				}
-				if k > 0 && g <= js.gang[k-1] {
-					return nil, fmt.Errorf("sched: snapshot: job %d gang not strictly ascending", i)
-				}
-			}
-			// Pre-gang snapshots carry no gang list; a placed job's
-			// placement is its single device.
-			if len(js.gang) == 0 && js.device >= 0 {
-				js.gang = []int{js.device}
-			}
+		if err := checkJob(js, sj.Demand != nil, ex.crossjob, ndev); err != nil {
+			return nil, fmt.Errorf("job %d: %w", i, err)
 		}
 		ex.states = append(ex.states, js)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-
-	jobAt := func(idx int64, what string) (*jobState, error) {
-		if idx < 0 || idx >= int64(len(ex.states)) {
-			return nil, fmt.Errorf("sched: snapshot: %s references job %d of %d", what, idx, len(ex.states))
+	jobAt := func(idx int, what string) (*jobState, error) {
+		if idx < 0 || idx >= len(ex.states) {
+			return nil, fmt.Errorf("%s references job %d of %d", what, idx, len(ex.states))
 		}
 		return ex.states[idx], nil
 	}
 
-	for i := 0; i < ndev && r.err == nil; i++ {
-		f = r.fields("dev", 12)
-		if r.err != nil {
-			break
-		}
-		if int(r.i64(f[1])) != i {
-			return nil, fmt.Errorf("sched: snapshot: dev record %s out of order (want %d)", f[1], i)
-		}
+	if len(s.Devs) != ndev {
+		return nil, fmt.Errorf("%d device records for %d devices", len(s.Devs), ndev)
+	}
+	for i, sd := range s.Devs {
 		d := ex.devs[i]
-		d.freeAt = sim.Time(r.i64(f[2]))
-		d.busy = sim.Duration(r.i64(f[3]))
-		d.used = r.i64(f[4])
-		d.peak = r.i64(f[5])
-		d.rr = int(r.i64(f[6]))
-		d.inflight = r.i64(f[7]) != 0
-		d.iters = int(r.i64(f[8]))
-		d.memIntegral = r.f64(f[9])
-		d.lastT = sim.Time(r.i64(f[10]))
-		nres := r.count(f, 11, 1<<24)
-		if r.err != nil {
-			break
-		}
-		rest := r.tail(12)
-		// Older snapshots end at the residents; later ones append the
-		// co-tenancy and spill high-water marks; current ones the fault
-		// state too. Legacy devices restore healthy.
-		if len(rest) != nres && len(rest) != nres+2 && len(rest) != nres+6 {
-			return nil, fmt.Errorf("sched: snapshot: dev %d: %d residents declared, %d present", i, nres, len(rest))
-		}
-		if len(rest) >= nres+2 {
-			d.maxRes = int(r.i64(rest[nres]))
-			d.spillPeak = r.i64(rest[nres+1])
-		}
-		if len(rest) == nres+6 {
-			d.failed = r.i64(rest[nres+2]) != 0
-			d.downSince = sim.Time(r.i64(rest[nres+3]))
-			d.down = sim.Duration(r.i64(rest[nres+4]))
-			d.fails = int(r.i64(rest[nres+5]))
-			if r.err == nil && (d.fails < 0 || d.down < 0) {
-				return nil, fmt.Errorf("sched: snapshot: dev %d has negative fault counters", i)
-			}
-		}
-		rest = rest[:nres]
-		for _, s := range rest {
-			js, err := jobAt(r.i64(s), "resident list")
+		*d = device{freeAt: sd.FreeAt, busy: sd.Busy, used: sd.Used, peak: sd.Peak,
+			rr: sd.RR, inflight: sd.Inflight, iters: sd.Iters, maxRes: sd.MaxRes, spillPeak: sd.SpillPeak,
+			failed: sd.Failed, downSince: sd.DownSince, down: sd.Down, fails: sd.Fails,
+			memIntegral: sd.MemIntegral, lastT: sd.LastT}
+		for _, idx := range sd.Resident {
+			js, err := jobAt(idx, "resident list")
 			if err != nil {
 				return nil, err
 			}
-			in := false
-			for _, g := range js.gang {
-				if g == i {
-					in = true
-					break
-				}
-			}
-			if !in {
-				return nil, fmt.Errorf("sched: snapshot: job %d resident on dev %d but placed on %v", js.seq, i, js.gang)
+			if !inGang(js.gang, i) {
+				return nil, fmt.Errorf("job %d resident on dev %d but placed on %v", js.seq, i, js.gang)
 			}
 			d.resident = append(d.resident, js)
 		}
-		if len(d.resident) > 0 {
-			if d.rr < 0 || d.rr >= len(d.resident) {
-				return nil, fmt.Errorf("sched: snapshot: dev %d: round-robin cursor %d out of range", i, d.rr)
-			}
-		} else if d.rr != 0 {
-			return nil, fmt.Errorf("sched: snapshot: dev %d: round-robin cursor %d with no residents", i, d.rr)
-		}
-		// A high-water mark can never sit below the current residency
-		// (and legacy snapshots carry no mark at all).
-		if d.maxRes < len(d.resident) {
-			d.maxRes = len(d.resident)
-		}
-		// A failed device holds no residents and runs nothing — its
-		// victims were displaced when the failure fired.
-		if d.failed && (len(d.resident) > 0 || d.inflight) {
-			return nil, fmt.Errorf("sched: snapshot: dev %d failed but has residents or in-flight work", i)
+		if err := checkDevice(d); err != nil {
+			return nil, fmt.Errorf("dev %d: %w", i, err)
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-
-	f = r.fields("pending", 2)
-	npend := r.count(f, 1, 1<<24)
-	if r.err != nil {
-		return nil, r.err
-	}
-	rest := r.tail(2)
-	if len(rest) != npend {
-		return nil, fmt.Errorf("sched: snapshot: %d pending declared, %d present", npend, len(rest))
-	}
-	for _, s := range rest {
-		js, err := jobAt(r.i64(s), "pending list")
+	for _, idx := range s.Pending {
+		js, err := jobAt(idx, "pending list")
 		if err != nil {
 			return nil, err
 		}
 		ex.pending = append(ex.pending, js)
 	}
-
-	f = r.fields("events", 2)
-	nev := r.count(f, 1, 1<<24)
-	if r.err != nil {
-		return nil, r.err
-	}
-	for k := 0; k < nev && r.err == nil; k++ {
-		f = r.fields("ev", 6)
-		if r.err != nil {
-			break
-		}
-		ev := event{
-			at:    sim.Time(r.i64(f[1])),
-			class: uint8(r.i64(f[2])),
-			seq:   r.i64(f[3]),
-			job:   int(r.i64(f[4])),
-			dev:   int(r.i64(f[5])),
-		}
+	for k, se := range s.Events {
+		ev := event{at: se.At, class: se.Class, seq: se.Seq, job: se.Job, dev: se.Dev}
 		switch ev.class {
 		case classArrival, classDone:
-			if _, err := jobAt(int64(ev.job), "event"); err != nil {
+			if _, err := jobAt(ev.job, "event"); err != nil {
 				return nil, err
 			}
 		case classFault:
 			// A fault event's job field is the recover flag, not a job
 			// index.
 			if ev.job != 0 && ev.job != 1 {
-				return nil, fmt.Errorf("sched: snapshot: fault event %d has recover flag %d", k, ev.job)
+				return nil, fmt.Errorf("fault event %d has recover flag %d", k, ev.job)
 			}
 		default:
-			return nil, fmt.Errorf("sched: snapshot: event %d has class %d", k, ev.class)
+			return nil, fmt.Errorf("event %d has class %d", k, ev.class)
 		}
 		if ev.dev < 0 || ev.dev >= ndev {
-			return nil, fmt.Errorf("sched: snapshot: event %d references device %d of %d", k, ev.dev, ndev)
+			return nil, fmt.Errorf("event %d references device %d of %d", k, ev.dev, ndev)
 		}
 		ex.q.push(ev)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	// Legacy snapshots predate the stale-completion guard and carry no
-	// liveDone field; such a snapshot holds exactly one queued
-	// completion per running job, so reconstruct the live sequence from
-	// the queue.
-	for _, ev := range ex.q {
-		if ev.class == classDone {
-			if js := ex.states[ev.job]; js.running && js.liveDone < 0 {
-				js.liveDone = ev.seq
-			}
-		}
-	}
-	if line := r.next(); line != "end" {
-		if r.err != nil {
-			return nil, r.err
-		}
-		return nil, fmt.Errorf("sched: snapshot: want end marker, got %q", line)
-	}
 	// Reconstruct the device planners from the restored residents and
-	// their demand records; a resident without a usable demand (a
-	// hand-crafted snapshot) surfaces here as an error, never a panic.
+	// their demands; a resident without a usable demand (a hand-crafted
+	// snapshot) surfaces here as an error, never a panic.
 	if err := ex.rebuildPlanners(); err != nil {
-		return nil, fmt.Errorf("sched: snapshot: %w", err)
+		return nil, err
 	}
-	return &Incremental{ex: ex, mark: mark}, nil
+	return &Incremental{ex: ex, mark: s.Mark}, nil
 }
 
-// fbits encodes a float exactly as its IEEE-754 bit pattern in hex.
-func fbits(v float64) string {
-	return "0x" + strconv.FormatUint(math.Float64bits(v), 16)
-}
-
-// qstr percent-encodes a string into a single whitespace-free field;
-// the empty string becomes "-" (and a literal "-" is escaped so the
-// two cannot collide).
-func qstr(s string) string {
-	if s == "" {
-		return "-"
-	}
-	e := url.QueryEscape(s)
-	if e == "-" {
-		return "%2D"
-	}
-	return e
-}
-
-// intList renders ints comma-separated, "-" when empty.
-func intList(v []int) string {
-	if len(v) == 0 {
-		return "-"
-	}
-	var b strings.Builder
-	for i, x := range v {
-		if i > 0 {
-			b.WriteByte(',')
+// checkJob enforces the per-job resume-safety invariants: these are
+// what the event loop relies on to never index out of range, so a
+// corrupted snapshot must fail here, not panic later.
+func checkJob(js *jobState, hasDemand, crossjob bool, ndev int) error {
+	if hasDemand {
+		if !crossjob {
+			return fmt.Errorf("planner demand in a snapshot without CrossJob")
 		}
-		b.WriteString(strconv.Itoa(x))
-	}
-	return b.String()
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// snapReader is a line scanner with sticky error handling: every
-// accessor records the first failure and returns a zero value, so the
-// decode path stays linear and cannot panic on malformed input.
-type snapReader struct {
-	sc   *bufio.Scanner
-	err  error
-	line int
-	cur  []string
-	// held is a one-line pushback buffer for optional records
-	// (fieldsOpt); hasHeld gates it so an empty held line round-trips.
-	held    string
-	hasHeld bool
-}
-
-func (r *snapReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("sched: snapshot line %d: %s", r.line, fmt.Sprintf(format, args...))
-	}
-}
-
-// next returns the next line, "" at EOF (recorded as an error).
-func (r *snapReader) next() string {
-	if r.err != nil {
-		return ""
-	}
-	if r.hasHeld {
-		r.hasHeld = false
-		r.line++
-		return r.held
-	}
-	if !r.sc.Scan() {
-		if err := r.sc.Err(); err != nil {
-			r.err = fmt.Errorf("sched: snapshot: %w", err)
-		} else {
-			r.fail("unexpected end of snapshot")
+		d := js.demand
+		if d.Job != plannerID(js) || d.PeakBytes != js.est.PeakBytes || d.IterTime != js.est.IterTime {
+			return fmt.Errorf("planner demand %q does not match the job's estimate", d.Job)
 		}
-		return ""
 	}
-	r.line++
-	return r.sc.Text()
-}
-
-// fields reads the next line, checks its keyword and that it has at
-// least min fields, and returns them (also retained for tail).
-func (r *snapReader) fields(keyword string, min int) []string {
-	line := r.next()
-	if r.err != nil {
+	if js.Iterations < 1 {
+		return fmt.Errorf("%d iterations", js.Iterations)
+	}
+	if js.GPUs < 1 {
+		return fmt.Errorf("gang size %d", js.GPUs)
+	}
+	if js.rejReason != "" {
 		return nil
 	}
-	f := strings.Fields(line)
-	if len(f) == 0 || f[0] != keyword {
-		r.fail("want %q record, got %q", keyword, line)
-		return nil
+	if len(js.iterTimes) == 0 {
+		return fmt.Errorf("no iteration times")
 	}
-	if len(f) < min {
-		r.fail("%q record needs %d fields, got %d", keyword, min, len(f))
-		return nil
+	if js.remaining < 0 || js.remaining > js.Iterations {
+		return fmt.Errorf("%d of %d iterations remaining", js.remaining, js.Iterations)
 	}
-	r.cur = f
-	return f
-}
-
-// fieldsOpt reads the next record if its keyword matches; otherwise
-// the line is pushed back for the next reader and nil is returned. A
-// matching record short of min fields is an error, like fields.
-func (r *snapReader) fieldsOpt(keyword string, min int) []string {
-	line := r.next()
-	if r.err != nil {
-		return nil
+	if js.device < -1 || js.device >= ndev {
+		return fmt.Errorf("on device %d of %d", js.device, ndev)
 	}
-	f := strings.Fields(line)
-	if len(f) == 0 || f[0] != keyword {
-		r.held = line
-		r.hasHeld = true
-		r.line--
-		return nil
+	if js.gangAR < 0 {
+		return fmt.Errorf("negative all-reduce price")
 	}
-	if len(f) < min {
-		r.fail("%q record needs %d fields, got %d", keyword, min, len(f))
-		return nil
+	if js.restores < 0 || js.shrinks < 0 || js.lostIters < 0 || js.liveDone < -1 {
+		return fmt.Errorf("negative fault counters")
 	}
-	r.cur = f
-	return f
-}
-
-// tail returns the current record's fields from position from on.
-func (r *snapReader) tail(from int) []string {
-	if r.err != nil || from >= len(r.cur) {
-		return nil
-	}
-	return r.cur[from:]
-}
-
-// count parses field i of f as a count in [0, max].
-func (r *snapReader) count(f []string, i, max int) int {
-	if r.err != nil || i >= len(f) {
-		return 0
-	}
-	n := r.i64(f[i])
-	if n < 0 || n > int64(max) {
-		r.fail("count %d out of range [0,%d]", n, max)
-		return 0
-	}
-	return int(n)
-}
-
-func (r *snapReader) i64(s string) int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		r.fail("bad integer %q", s)
-		return 0
-	}
-	return v
-}
-
-func (r *snapReader) u64(s string) uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		r.fail("bad unsigned integer %q", s)
-		return 0
-	}
-	return v
-}
-
-func (r *snapReader) f64(s string) float64 {
-	if r.err != nil {
-		return 0
-	}
-	if !strings.HasPrefix(s, "0x") {
-		r.fail("bad float bits %q", s)
-		return 0
-	}
-	v, err := strconv.ParseUint(s[2:], 16, 64)
-	if err != nil {
-		r.fail("bad float bits %q", s)
-		return 0
-	}
-	return math.Float64frombits(v)
-}
-
-func (r *snapReader) unquote(s string) string {
-	if r.err != nil {
-		return ""
-	}
-	if s == "-" {
-		return ""
-	}
-	v, err := url.QueryUnescape(s)
-	if err != nil {
-		r.fail("bad encoded string %q", s)
-		return ""
-	}
-	return v
-}
-
-// ints parses a comma-separated int list; "-" is empty.
-func (r *snapReader) ints(s string) []int {
-	if r.err != nil || s == "-" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			r.fail("bad int list entry %q", p)
-			return nil
+	// Gang members must be valid, strictly ascending device indices —
+	// the event loop indexes devices through them.
+	for k, g := range js.gang {
+		if g < 0 || g >= ndev {
+			return fmt.Errorf("gang member %d of %d devices", g, ndev)
 		}
-		out = append(out, v)
+		if k > 0 && g <= js.gang[k-1] {
+			return fmt.Errorf("gang not strictly ascending")
+		}
 	}
-	return out
+	return nil
+}
+
+// checkDevice enforces the per-device invariants over a restored
+// device and its resident list.
+func checkDevice(d *device) error {
+	if len(d.resident) > 0 {
+		if d.rr < 0 || d.rr >= len(d.resident) {
+			return fmt.Errorf("round-robin cursor %d out of range", d.rr)
+		}
+	} else if d.rr != 0 {
+		return fmt.Errorf("round-robin cursor %d with no residents", d.rr)
+	}
+	if d.maxRes < len(d.resident) {
+		return fmt.Errorf("co-residency high-water mark %d below %d residents", d.maxRes, len(d.resident))
+	}
+	if d.fails < 0 || d.down < 0 {
+		return fmt.Errorf("negative fault counters")
+	}
+	// A failed device holds no residents and runs nothing — its victims
+	// were displaced when the failure fired.
+	if d.failed && (len(d.resident) > 0 || d.inflight) {
+		return fmt.Errorf("failed but has residents or in-flight work")
+	}
+	return nil
+}
+
+func inGang(gang []int, dev int) bool {
+	for _, g := range gang {
+		if g == dev {
+			return true
+		}
+	}
+	return false
 }

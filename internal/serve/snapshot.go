@@ -18,14 +18,14 @@ package serve
 //	idem <key> <id>        (zero or more)
 //	end
 //
-// The idem lines — added for crash-safe serving — persist the
-// idempotency bindings of sequenced jobs, so a service restored from a
-// checkpoint keeps deduplicating retries. They sit between the sched
-// payload and the end marker; a checkpoint without them (the original
-// format) still decodes, so old artifacts remain restorable.
+// The idem lines persist the idempotency bindings of sequenced jobs,
+// so a service restored from a checkpoint keeps deduplicating retries;
+// a service with no keyed submissions writes none. The payload is the
+// scheduler's versioned JSON snapshot: a payload at another version
+// fails restore with both ErrBadCheckpoint and sched.ErrSnapshotVersion.
 //
 // The decoder validates every field and never panics on malformed
-// input (fuzzed in snapshot_test.go).
+// input (FuzzRestoreCheckpoint).
 
 import (
 	"bytes"
@@ -60,7 +60,10 @@ func (s *Service) Checkpoint() ([]byte, error) {
 	if s.incErr != nil {
 		return nil, s.incErr
 	}
-	payload := sched.EncodeSnapshot(s.inc)
+	payload, err := sched.EncodeSnapshot(s.inc)
+	if err != nil {
+		return nil, err
+	}
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "%s\nseq %d %d\nsched %d\n", ckptMagic, len(s.log), s.cfg.SpacingMS, len(payload))
 	b.Write(payload)
@@ -85,7 +88,7 @@ type CheckpointState struct {
 	// SpacingMS is the virtual arrival spacing the log was merged at.
 	SpacingMS int64
 	// Idem holds the persisted idempotency bindings in insertion
-	// order; empty for artifacts from before the idem extension.
+	// order; empty when no sequenced job carried an idempotency key.
 	Idem []IdemEntry
 	// Replay is the restored paused replay.
 	Replay *sched.Incremental
@@ -125,7 +128,7 @@ func RestoreCheckpoint(data []byte, est *sched.Estimator) (*CheckpointState, err
 	}
 	inc, err := sched.RestoreIncremental(rest[:n], est)
 	if err != nil {
-		return nil, fmt.Errorf("%w: payload: %v", ErrBadCheckpoint, err)
+		return nil, fmt.Errorf("%w: payload: %w", ErrBadCheckpoint, err)
 	}
 	if inc.Len() != seq {
 		return fail("payload holds %d jobs, frame declares %d", inc.Len(), seq)

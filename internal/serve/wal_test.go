@@ -593,6 +593,13 @@ func TestRestoreCheckpointNamedErrors(t *testing.T) {
 			t.Errorf("%s: err %v does not match ErrBadCheckpoint", name, err)
 		}
 	}
+	// A payload in the retired snapshot text format keeps sched's named
+	// version error through the checkpoint frame.
+	v1 := "snsnap 1\npolicy fifo\nend\n"
+	_, err = RestoreCheckpoint([]byte(fmt.Sprintf("snckpt 1\nseq 0 1\nsched %d\n%send\n", len(v1), v1)), nil)
+	if !errors.Is(err, ErrBadCheckpoint) || !errors.Is(err, sched.ErrSnapshotVersion) {
+		t.Errorf("version-1 payload: err %v does not match both ErrBadCheckpoint and sched.ErrSnapshotVersion", err)
+	}
 }
 
 // FuzzRecoverWAL throws torn, bit-flipped and arbitrary segment bytes
