@@ -4,16 +4,17 @@
 // loop that submits kernels and drives the iteration — while every
 // memory-management decision (tensor placement, movement, allocation,
 // deallocation, recomputation, workspace policy; §3 of the paper)
-// lives behind the pluggable subsystem interfaces of internal/memmgr.
+// lives in the internal/memmgr subsystems.
 //
 // The manager running a given configuration is selected by
 // Config.Manager: the empty name runs the flag-driven manager, which
 // interprets the technique flags literally (how the ablation studies
 // toggle individual mechanisms), while named managers ("superneurons",
-// "vdnn", "naive", the framework models) own the policy surface. The
-// competing frameworks' models (internal/policy) route through the
-// same seam, so every capacity and speed comparison in the evaluation
-// isolates exactly the policy difference.
+// "vdnn", "naive", the framework models) own the policy surface. Every
+// manager runs the same subsystems, and the competing frameworks'
+// models (internal/policy) route through the manager names, so every
+// capacity and speed comparison in the evaluation isolates exactly the
+// policy difference.
 package core
 
 import (

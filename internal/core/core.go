@@ -38,7 +38,7 @@ func Run(net *nnet.Net, cfg Config) (*Result, error) {
 	}
 	cfg = mgr.Normalize(cfg).WithDefaults()
 	p := program.BuildWith(net, program.Options{InPlaceAct: cfg.InPlaceAct})
-	e := newExec(p, cfg, mgr)
+	e := newExec(memmgr.NewRuntime(p, cfg))
 	if err := e.run(); err != nil {
 		return nil, fmt.Errorf("core: %s batch %d: %w", net.Name, net.Batch(), err)
 	}
@@ -46,17 +46,16 @@ func Run(net *nnet.Net, cfg Config) (*Result, error) {
 }
 
 // exec orchestrates one run: it owns the step loop and delegates every
-// memory-management decision to the manager's subsystems. The
-// normalized configuration lives in rt.Cfg, shared with the
-// subsystems.
+// memory-management decision to the memmgr subsystems. The normalized
+// configuration lives in rt.Cfg, shared with the subsystems.
 type exec struct {
 	rt *memmgr.Runtime
-	mm memmgr.Components
+	mm *memmgr.Subsystems
 }
 
-func newExec(p *program.Program, cfg Config, mgr memmgr.MemoryManager) *exec {
-	rt := memmgr.NewRuntime(p, cfg)
-	return &exec{rt: rt, mm: mgr.Components(rt)}
+// newExec wires the subsystems over a freshly bound runtime.
+func newExec(rt *memmgr.Runtime) *exec {
+	return &exec{rt: rt, mm: memmgr.NewSubsystems(rt)}
 }
 
 func (e *exec) run() error {

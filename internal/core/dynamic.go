@@ -139,7 +139,7 @@ func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
 			net := build(batch)
 			p := program.BuildWith(net, program.Options{InPlaceAct: knobs.InPlaceAct})
 			rt = memmgr.NewRuntime(p, knobs)
-			e = &exec{rt: rt, mm: mgr.Components(rt)}
+			e = newExec(rt)
 			res.Network = net.Name
 			curBatch = batch
 		case batch != curBatch || rebindNeeded:
@@ -148,7 +148,7 @@ func RunDynamic(build func(int) *nnet.Net, cfg Config) (*DynamicResult, error) {
 			if err := rt.Rebind(p, knobs); err != nil {
 				return nil, fmt.Errorf("core: %s iteration %d: %w", res.Network, it, err)
 			}
-			e.mm = mgr.Components(rt)
+			e = newExec(rt)
 			cacheBase = [2]int64{}
 			replanned = rebindNeeded
 			curBatch = batch

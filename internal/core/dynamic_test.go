@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/hw"
+	"repro/internal/memmgr"
 	"repro/internal/nnet"
 	"repro/internal/utp"
 	"repro/internal/workload"
@@ -166,5 +167,33 @@ func TestRunDynamicValidation(t *testing.T) {
 	if _, err := core.RunDynamic(resnet50, cfg); err == nil ||
 		!strings.Contains(err.Error(), "unknown memory manager") {
 		t.Errorf("unknown manager not rejected: %v", err)
+	}
+}
+
+// Every manager runs the one memmgr wiring, so the adaptive planner's
+// revisions (offload, prefetch, recompute) apply under a named manager
+// just as under the flag-driven one: the ramp50 ablation with
+// AdaptivePlan completes under each of them, and its replans move
+// data.
+func TestRunDynamicAdaptiveUnderEveryManager(t *testing.T) {
+	for _, name := range memmgr.Names() {
+		t.Run(name, func(t *testing.T) {
+			cfg := ablationConfig()
+			cfg.Manager = name
+			cfg.AdaptivePlan = true
+			r, err := core.RunDynamic(resnet50, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A revision that widens the offload set must move bytes;
+			// a wiring without a transfer engine would ignore it.
+			var traffic int64
+			for _, it := range r.Iters {
+				traffic += it.OffloadBytes + it.PrefetchBytes
+			}
+			if r.Replans > 0 && traffic == 0 {
+				t.Errorf("%d replans moved no data: %+v", r.Replans, r.Iters)
+			}
+		})
 	}
 }

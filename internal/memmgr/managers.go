@@ -6,63 +6,6 @@ import (
 	"repro/internal/utp"
 )
 
-// mgr is the common MemoryManager shape: a name, a policy resolver and
-// a component wiring.
-type mgr struct {
-	name       string
-	normalize  func(Config) Config
-	components func(*Runtime) Components
-}
-
-func (m *mgr) Name() string                      { return m.name }
-func (m *mgr) Normalize(cfg Config) Config       { return m.normalize(cfg) }
-func (m *mgr) Components(rt *Runtime) Components { return m.components(rt) }
-
-// StdComponents wires the full standard machinery: residency with
-// cache eviction, the UTP offload engine, the segment replayer and the
-// dynamic workspace tuner. Which mechanisms actually engage is decided
-// by the normalized Config flags, so this wiring serves every
-// flag-driven ablation as well as the full SuperNeurons policy.
-func StdComponents(rt *Runtime) Components {
-	resid := &StdResidency{rt: rt}
-	off := NewStdOffload(rt, resid)
-	resid.off = off
-	return Components{
-		Residency: resid,
-		Offload:   off,
-		Replay:    NewStdReplayer(rt, resid, off),
-		Tuner:     NewStdTuner(rt),
-	}
-}
-
-// residentComponents wires a keep-everything policy: real residency
-// tracking, but no transfer engine and no replayer. Used by the naive
-// baseline and the Caffe/Torch models (whose static workspace caps
-// still engage the tuner).
-func residentComponents(rt *Runtime) Components {
-	resid := &StdResidency{rt: rt, off: NullOffload{}}
-	return Components{
-		Residency: resid,
-		Offload:   NullOffload{},
-		Replay:    NullReplayer{},
-		Tuner:     NewStdTuner(rt),
-	}
-}
-
-// noRecomputeComponents wires an offload-capable policy without
-// recomputation (vDNN, TensorFlow-style swapping).
-func noRecomputeComponents(rt *Runtime) Components {
-	resid := &StdResidency{rt: rt}
-	off := NewStdOffload(rt, resid)
-	resid.off = off
-	return Components{
-		Residency: resid,
-		Offload:   off,
-		Replay:    NullReplayer{},
-		Tuner:     NewStdTuner(rt),
-	}
-}
-
 // policyOf returns a normalize func that takes the donor constructor's
 // configuration as the complete policy surface — the donor is the
 // single source of truth for the technique flags — and carries over
@@ -154,38 +97,4 @@ func TensorFlowSwapConfig(d hw.DeviceSpec) Config {
 	c := TensorFlowConfig(d)
 	c.Offload = utp.OffloadSwapAll
 	return c
-}
-
-// Custom is the flag-driven manager: it interprets the Config
-// technique flags literally, which is how the paper's ablation studies
-// toggle individual mechanisms. It is the default for Config.Manager
-// == "".
-var Custom MemoryManager = &mgr{
-	name:       "custom",
-	normalize:  func(cfg Config) Config { return cfg },
-	components: StdComponents,
-}
-
-func init() {
-	Register(Custom)
-	// The paper's full runtime.
-	Register(&mgr{name: "superneurons", components: StdComponents,
-		normalize: policyOf(SuperNeuronsConfig)})
-	// The offload-everything baseline.
-	Register(&mgr{name: "vdnn", components: noRecomputeComponents,
-		normalize: policyOf(VDNNConfig)})
-	// The naive keep-everything baseline (peak = Σ l_i^f + Σ l_i^b).
-	Register(&mgr{name: "naive", components: residentComponents,
-		normalize: policyOf(BaselineConfig)})
-	// The framework comparison models.
-	Register(&mgr{name: "caffe", components: residentComponents,
-		normalize: policyOf(CaffeConfig)})
-	Register(&mgr{name: "torch", components: residentComponents,
-		normalize: policyOf(TorchConfig)})
-	Register(&mgr{name: "mxnet", components: StdComponents,
-		normalize: policyOf(MXNetConfig)})
-	Register(&mgr{name: "tensorflow", components: noRecomputeComponents,
-		normalize: policyOf(TensorFlowConfig)})
-	Register(&mgr{name: "tensorflow-swap", components: noRecomputeComponents,
-		normalize: policyOf(TensorFlowSwapConfig)})
 }

@@ -38,7 +38,8 @@ type TState struct {
 // timeline and engines, the memory spaces of the Unified Tensor Pool,
 // the planner outputs, per-tensor placement, and the accounting that
 // lands in Result. It corresponds to the paper's runtime context; the
-// policy lives in the MemoryManager components, not here.
+// policy lives in the Config flags a MemoryManager resolves, which the
+// subsystems wired by NewSubsystems read, not here.
 type Runtime struct {
 	Cfg   Config
 	P     *program.Program

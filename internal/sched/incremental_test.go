@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // testJobs is a stream exercising every job fate: admitted, backfilled,
@@ -270,6 +271,9 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 		// current residency.
 		"max residents below residency": editSnapshot(t, good, "Devs.0.MaxRes", 0),
 	}
+	for name, data := range overBoundSnapshots(t, good) {
+		cases[name] = data
+	}
 	for name, data := range cases {
 		_, err := RestoreIncremental(data, nil)
 		if err == nil {
@@ -277,6 +281,22 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 		} else if !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: err %v does not match ErrBadSnapshot", name, err)
 		}
+	}
+}
+
+// overBoundSnapshots edits the first job of a snapshot to iteration
+// counts and batch sizes beyond the workload bounds. Restoring one
+// must fail: a pending job with 1e12 iterations would stall every
+// drain, and a 1<<60 batch overflows the dry run's byte counts.
+func overBoundSnapshots(tb testing.TB, snap []byte) map[string][]byte {
+	const huge = 1_000_000_000_000
+	return map[string][]byte{
+		"iterations over bound": editSnapshot(tb, snap, "Jobs.0.Iterations", workload.MaxIterations+1),
+		"huge iterations": editSnapshot(tb, editSnapshot(tb, snap, "Jobs.0.Iterations", huge),
+			"Jobs.0.Remaining", huge),
+		"batch over bound":          editSnapshot(tb, snap, "Jobs.0.Batch", workload.MaxBatch+1),
+		"huge batch":                editSnapshot(tb, snap, "Jobs.0.Batch", 1<<60),
+		"schedule entry over bound": editSnapshot(tb, snap, "Jobs.0.BatchSchedule", []int{16, 1 << 60}),
 	}
 }
 
@@ -365,6 +385,9 @@ func FuzzRestoreIncremental(f *testing.F) {
 	}
 	finc.AdvanceTo(sim.Time(2500 * sim.Millisecond))
 	f.Add(mustEncode(f, finc))
+	for _, data := range overBoundSnapshots(f, mustEncode(f, inc)) {
+		f.Add(data)
+	}
 	f.Add([]byte("snsnap 1\npolicy fifo\n"))
 	f.Add([]byte("snsnap 1\npolicy packing\ndevice d 1 1 0x0 0x0 0 0 0 0 0x3ff0000000000000 0x3ff0000000000000\ndevices 1\nclock 0 0 0\nagg 0 0 0 0\njobs 0\ndev 0 0 0 0 0 0 0 0 0x0 0\npending 0\nevents 0\nend\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -374,6 +397,12 @@ func FuzzRestoreIncremental(f *testing.F) {
 				t.Fatalf("restore error %v does not match ErrBadSnapshot", err)
 			}
 			return
+		}
+		for _, js := range restored.ex.states {
+			if js.Iterations > workload.MaxIterations || workload.Schedule(js.BatchSchedule).Max() > workload.MaxBatch ||
+				len(js.BatchSchedule) == 0 && js.Batch > workload.MaxBatch {
+				t.Fatalf("accepted an out-of-bound job %+v", js.Job)
+			}
 		}
 		// Accepted snapshots must re-encode stably and drain cleanly
 		// (errors fine, panics not).

@@ -9,6 +9,7 @@ import (
 	"repro/internal/memmgr"
 	"repro/internal/memplan"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Snapshot serialization for a paused Incremental replay: the serving
@@ -314,8 +315,17 @@ func checkJob(js *jobState, hasDemand, crossjob bool, ndev int) error {
 			return fmt.Errorf("planner demand %q does not match the job's estimate", d.Job)
 		}
 	}
-	if js.Iterations < 1 {
+	if js.Iterations < 1 || js.Iterations > workload.MaxIterations {
 		return fmt.Errorf("%d iterations", js.Iterations)
+	}
+	// A dynamic job is estimated from its schedule, a static one from
+	// Batch.
+	if len(js.BatchSchedule) > 0 {
+		if err := workload.Schedule(js.BatchSchedule).Validate(); err != nil {
+			return err
+		}
+	} else if js.Batch < 1 || js.Batch > workload.MaxBatch {
+		return fmt.Errorf("batch %d", js.Batch)
 	}
 	if js.GPUs < 1 {
 		return fmt.Errorf("gang size %d", js.GPUs)

@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -181,9 +182,10 @@ func TestHTTPSubmitWireContract(t *testing.T) {
 	}
 }
 
-// A submission whose request-log record cannot fit one WAL frame is a
-// bad request, not a crash of the sequencer, and the service keeps
-// sequencing afterwards.
+// A submission whose request-log record cannot fit one WAL frame, or
+// whose iteration count or batch exceeds the workload bounds, is a bad
+// request, not a crash of the sequencer or a drain stalled for hours,
+// and the service keeps sequencing afterwards.
 func TestOversizedSubmitRefused(t *testing.T) {
 	dir := t.TempDir()
 	s := mustNew(t, walConfig(dir, 1))
@@ -192,6 +194,12 @@ func TestOversizedSubmitRefused(t *testing.T) {
 		"id":              small("t", huge),
 		"tenant":          small(huge, "j"),
 		"idempotency_key": {Tenant: "t", ID: "k", Network: "AlexNet", Batch: 16, IdempotencyKey: huge[:workload.MaxFramePayload-4]},
+		"iterations":      {Tenant: "t", ID: "i", Network: "AlexNet", Batch: 16, Iterations: workload.MaxIterations + 1},
+		"huge iterations": {Tenant: "t", ID: "i", Network: "AlexNet", Batch: 16, Iterations: 1_000_000_000_000},
+		"batch":           {Tenant: "t", ID: "b", Network: "AlexNet", Batch: workload.MaxBatch + 1},
+		"batch 1<<50":     {Tenant: "t", ID: "b", Network: "AlexNet", Batch: 1 << 50},
+		"batch 1<<60":     {Tenant: "t", ID: "b", Network: "AlexNet", Batch: 1 << 60},
+		"schedule":        {Tenant: "t", ID: "s", Network: "AlexNet", Schedule: fmt.Sprintf("16,%d", 1<<58)},
 	} {
 		if _, err := s.Submit(req); !errors.Is(err, ErrBadRequest) {
 			t.Errorf("oversized %s: err = %v, want ErrBadRequest", name, err)
@@ -205,6 +213,8 @@ func TestOversizedSubmitRefused(t *testing.T) {
 	for _, body := range []string{
 		`{"tenant":"t","id":"` + huge + `","network":"AlexNet","batch":16}`,
 		`{"tenant":"t","id":"pad","network":"AlexNet","batch":16,"pad":"` + huge + `"}`,
+		`{"tenant":"t","id":"i","network":"AlexNet","batch":16,"iterations":1000000000000}`,
+		`{"tenant":"t","id":"b","network":"AlexNet","batch":4503599627370496}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -727,6 +727,9 @@ func (s *Service) validate(req SubmitRequest) (workload.TraceJob, string, error)
 	if tj.Iterations <= 0 {
 		tj.Iterations = 1
 	}
+	if tj.Iterations > workload.MaxIterations {
+		return workload.TraceJob{}, "", fmt.Errorf("%w: iterations %d exceeds %d", ErrBadRequest, tj.Iterations, workload.MaxIterations)
+	}
 
 	batches := []int{req.Batch}
 	if req.Schedule != "" {
@@ -740,8 +743,8 @@ func (s *Service) validate(req SubmitRequest) (workload.TraceJob, string, error)
 		}
 		batches = sc.Distinct()
 	} else {
-		if req.Batch <= 0 {
-			return workload.TraceJob{}, "", fmt.Errorf("%w: batch must be positive, got %d", ErrBadRequest, req.Batch)
+		if req.Batch <= 0 || req.Batch > workload.MaxBatch {
+			return workload.TraceJob{}, "", fmt.Errorf("%w: batch must be in 1..%d, got %d", ErrBadRequest, workload.MaxBatch, req.Batch)
 		}
 		tj.Batch = req.Batch
 	}

@@ -467,6 +467,23 @@ func TestWALNamedErrors(t *testing.T) {
 			t.Fatalf("err %v, want ErrWALCorrupt", err)
 		}
 	})
+	t.Run("iterations and batch over bound", func(t *testing.T) {
+		for _, tj := range []workload.TraceJob{
+			{ID: "t/i", Network: "AlexNet", Batch: 16, Iterations: workload.MaxIterations + 1},
+			{ID: "t/b", Network: "AlexNet", Batch: 1 << 60, Iterations: 1},
+		} {
+			dir := t.TempDir()
+			var b []byte
+			b = workload.AppendFrame(b, []byte(walHeaderLine(0, 1)))
+			b = workload.AppendFrame(b, []byte(workload.FormatJob(tj)))
+			if err := os.WriteFile(filepath.Join(dir, walSegmentName(0)), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RecoverWAL(dir); !errors.Is(err, ErrWALCorrupt) {
+				t.Fatalf("%s: err %v, want ErrWALCorrupt", tj.ID, err)
+			}
+		}
+	})
 	t.Run("wrong segment index in header", func(t *testing.T) {
 		dir := t.TempDir()
 		b := workload.AppendFrame(nil, []byte(walHeaderLine(3, 1)))

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -61,6 +62,7 @@ func FuzzParseSchedule(f *testing.F) {
 	for _, seed := range []string{
 		"16x2,32,64x3", "128", "1x1", "0", "-4", "8x0", "x", ",", "16,,32",
 		"  8 , 8 ", "999999999999999999999", "64x2x2", "3x", "7,7,7,7",
+		fmt.Sprint(MaxBatch + 1), fmt.Sprintf("16,%dx2", MaxBatch+1), fmt.Sprint(1 << 60),
 	} {
 		f.Add(seed)
 	}
@@ -73,7 +75,7 @@ func FuzzParseSchedule(f *testing.F) {
 		if verr := s.Validate(); verr != nil {
 			t.Fatalf("ParseSchedule(%q) accepted an invalid schedule: %v", in, verr)
 		}
-		if s.Max() <= 0 {
+		if s.Max() <= 0 || s.Max() > MaxBatch {
 			t.Fatalf("ParseSchedule(%q): max %d", in, s.Max())
 		}
 		// ...whose canonical rendering re-parses to the same schedule

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -189,10 +190,17 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add("fault fail dev=0 at=100\nfault recover dev=0 at=2s\n")
 	f.Add("# shard 3\na 0 AlexNet 16x2,32 naive 1 4 gpus=2\nfault fail dev=1 at=5ms\n")
 	f.Add("fault fail dev=1\nfault fail dev=1 at=-3\n")
+	f.Add(fmt.Sprintf("a 0 AlexNet 16 naive 1 %d\nb 0 AlexNet 16 naive 1 1000000000000\n", MaxIterations+1))
+	f.Add(fmt.Sprintf("a 0 AlexNet %d naive 1 1\nb 0 AlexNet 16,%d naive 1 2\n", MaxBatch+1, 1<<60))
 	f.Fuzz(func(t *testing.T, text string) {
 		jobs, faults, err := ParseTraceEvents(strings.NewReader(text), 0)
 		if err != nil {
 			return
+		}
+		for _, j := range jobs {
+			if j.Iterations > MaxIterations || j.Batch > MaxBatch {
+				t.Fatalf("accepted an out-of-bound job %+v", j)
+			}
 		}
 		// Accepted traces must survive a format/reparse cycle exactly:
 		// the canonical rendering is itself a valid trace for the same

@@ -1,12 +1,14 @@
 package workload
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
 
 // The optional gpus=N trace field: parse, bounds, and malformed
-// inputs, each error naming the offending line.
+// inputs, each error naming the offending line — plus the iteration
+// and batch bounds every job line obeys.
 func TestParseTraceGangField(t *testing.T) {
 	parse := func(body string, maxGPUs int) ([]TraceJob, error) {
 		return ParseTraceLimit(strings.NewReader(body), maxGPUs)
@@ -37,6 +39,11 @@ func TestParseTraceGangField(t *testing.T) {
 		{"bare eighth field", "g 0 AlexNet 64 naive 1 1 4\n", 0, "line 1: want gpus=N"},
 		{"misspelled key", "g 0 AlexNet 64 naive 1 1 gpu=4\n", 0, "line 1: want gpus=N"},
 		{"ninth field", "g 0 AlexNet 64 naive 1 1 gpus=4 extra\n", 0, "line 1: want 7 fields"},
+		// Iterations and batch are bounded in every job line.
+		{"iterations over bound", fmt.Sprintf("g 0 AlexNet 64 naive 1 %d\n", MaxIterations+1), 0, "line 1: bad iterations"},
+		{"huge iterations", "g 0 AlexNet 64 naive 1 1000000000000\n", 0, "line 1: bad iterations"},
+		{"batch over bound", fmt.Sprintf("g 0 AlexNet %d naive 1 1\n", MaxBatch+1), 0, "line 1: bad batch"},
+		{"schedule entry over bound", fmt.Sprintf("g 0 AlexNet 16,%d naive 1 2\n", 1<<60), 0, "line 1: bad batch"},
 	}
 	for _, c := range malformed {
 		_, err := parse(c.body, c.max)

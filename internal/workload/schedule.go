@@ -15,14 +15,14 @@ import (
 // vDNN-style one-shot offload schedules break down).
 type Schedule []int
 
-// Validate checks that every entry is a positive batch size.
+// Validate checks that every entry is a batch size in 1..MaxBatch.
 func (s Schedule) Validate() error {
 	if len(s) == 0 {
 		return fmt.Errorf("workload: empty batch schedule")
 	}
 	for i, b := range s {
-		if b <= 0 {
-			return fmt.Errorf("workload: schedule entry %d: batch must be positive, got %d", i, b)
+		if b <= 0 || b > MaxBatch {
+			return fmt.Errorf("workload: schedule entry %d: batch must be positive and at most %d, got %d", i, MaxBatch, b)
 		}
 	}
 	return nil
@@ -91,10 +91,23 @@ func Buckets(reps int, batches ...int) Schedule {
 // multi-gigabyte slice.
 const MaxScheduleLen = 1 << 20
 
+// MaxBatch and MaxIterations bound a job's batch size (every schedule
+// entry) and iteration count wherever a job enters the system: trace
+// and request-log parsing, service submits and snapshot restores. A
+// batch scales every tensor's byte count and kernel time, so an
+// absurd one overflows the dry run's arithmetic; each iteration is one
+// simulated event, so an absurd count stalls every drain. Bundled and
+// generated traces stay far below both.
+const (
+	MaxBatch      = 1 << 20
+	MaxIterations = 1 << 16
+)
+
 // ParseSchedule reads the compact trace syntax: comma-separated batch
 // sizes, each optionally with an xN repeat — "16x2,32,64x3" is
 // [16 16 32 64 64 64]. A plain integer parses as a one-entry schedule.
-// Schedules longer than MaxScheduleLen entries are rejected.
+// Schedules longer than MaxScheduleLen entries, or with an entry above
+// MaxBatch, are rejected.
 func ParseSchedule(s string) (Schedule, error) {
 	var out Schedule
 	for _, part := range strings.Split(s, ",") {
@@ -112,8 +125,8 @@ func ParseSchedule(s string) (Schedule, error) {
 			return nil, fmt.Errorf("workload: schedule longer than %d entries at %q", MaxScheduleLen, part)
 		}
 		b, err := strconv.Atoi(batchStr)
-		if err != nil || b <= 0 {
-			return nil, fmt.Errorf("workload: bad batch in schedule entry %q", part)
+		if err != nil || b <= 0 || b > MaxBatch {
+			return nil, fmt.Errorf("workload: bad batch in schedule entry %q (want 1..%d)", part, MaxBatch)
 		}
 		for r := 0; r < reps; r++ {
 			out = append(out, b)

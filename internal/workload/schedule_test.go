@@ -69,14 +69,19 @@ func TestParseScheduleRoundTrip(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "0", "-4", "16x0", "16x-1", "a", "16,,32", "16xx2",
-		"1x2000000000", "1x1000000,2x1000000"} {
+		"1x2000000000", "1x1000000,2x1000000",
+		fmt.Sprint(MaxBatch + 1), fmt.Sprintf("16,%dx2", MaxBatch+1), fmt.Sprint(1 << 60)} {
 		if _, err := ParseSchedule(bad); err == nil {
 			t.Errorf("ParseSchedule(%q) accepted", bad)
 		}
 	}
-	// The expansion cap is a ceiling, not a smaller de-facto limit.
+	// The expansion and batch caps are ceilings, not smaller de-facto
+	// limits.
 	if got, err := ParseSchedule(fmt.Sprintf("1x%d", MaxScheduleLen)); err != nil || len(got) != MaxScheduleLen {
 		t.Errorf("schedule at the cap rejected: %d entries, %v", len(got), err)
+	}
+	if got, err := ParseSchedule(fmt.Sprint(MaxBatch)); err != nil || got.Max() != MaxBatch {
+		t.Errorf("batch at the cap rejected: %v, %v", got, err)
 	}
 }
 
@@ -86,6 +91,9 @@ func TestScheduleValidate(t *testing.T) {
 	}
 	if err := (Schedule{16, 0}).Validate(); err == nil {
 		t.Error("zero batch accepted")
+	}
+	if err := (Schedule{16, MaxBatch + 1}).Validate(); err == nil {
+		t.Error("batch above MaxBatch accepted")
 	}
 	if err := (Schedule{16, 32}).Validate(); err != nil {
 		t.Errorf("valid schedule rejected: %v", err)

@@ -144,8 +144,8 @@ func parseTrace(r io.Reader, maxGPUs int, allowFaults bool) ([]TraceJob, []Trace
 		if tj.Priority, err = strconv.Atoi(f[5]); err != nil {
 			return nil, nil, fmt.Errorf("workload: trace line %d: bad priority %q", line, f[5])
 		}
-		if tj.Iterations, err = strconv.Atoi(f[6]); err != nil || tj.Iterations <= 0 {
-			return nil, nil, fmt.Errorf("workload: trace line %d: bad iterations %q", line, f[6])
+		if tj.Iterations, err = strconv.Atoi(f[6]); err != nil || tj.Iterations <= 0 || tj.Iterations > MaxIterations {
+			return nil, nil, fmt.Errorf("workload: trace line %d: bad iterations %q (want 1..%d)", line, f[6], MaxIterations)
 		}
 		if len(f) == 8 {
 			v, ok := strings.CutPrefix(f[7], "gpus=")
